@@ -6,7 +6,6 @@
 
 #include "graph/builder.hpp"
 #include "util/rng.hpp"
-#include "util/threading.hpp"
 
 namespace probgraph::gen {
 
@@ -20,31 +19,24 @@ CsrGraph kronecker(unsigned scale, double edge_factor, std::uint64_t seed,
   const VertexId n = VertexId{1} << scale;
   const auto target = static_cast<EdgeId>(edge_factor * static_cast<double>(n));
 
+  // One stream, drawn in edge order: the graph depends on the arguments
+  // alone, never on the OpenMP team.
+  Xoshiro256 rng(seed ^ 0x9e3779b97f4a7c15ULL);
+  const double ab = a + b;
+  const double abc = ab + c;
   std::vector<Edge> edges(target);
-#pragma omp parallel
-  {
-    // Each thread owns a disjoint slice with its own seeded stream.
-    Xoshiro256 rng(seed ^ (0x9e3779b97f4a7c15ULL * (util::thread_id() + 1)));
-#pragma omp for schedule(static)
-    for (std::int64_t e = 0; e < static_cast<std::int64_t>(target); ++e) {
-      VertexId u = 0, v = 0;
-      for (unsigned level = 0; level < scale; ++level) {
-        const double r = rng.uniform();
-        u <<= 1;
-        v <<= 1;
-        if (r < a) {
-          // top-left quadrant: no bits set
-        } else if (r < a + b) {
-          v |= 1;
-        } else if (r < a + b + c) {
-          u |= 1;
-        } else {
-          u |= 1;
-          v |= 1;
-        }
-      }
-      edges[e] = {u, v};
+  for (Edge& edge : edges) {
+    VertexId u = 0, v = 0;
+    for (unsigned level = 0; level < scale; ++level) {
+      // Quadrant r < a ? (0,0) : r < a+b ? (0,1) : r < a+b+c ? (1,0) : (1,1),
+      // from the same three comparisons but without branches: u's bit is set
+      // in the last two quadrants, v's in the second and the last.
+      const double r = rng.uniform();
+      const VertexId lt_a = r < a, lt_ab = r < ab, lt_abc = r < abc;
+      u = (u << 1) | ((lt_a | lt_ab) ^ 1);
+      v = (v << 1) | ((lt_a ^ 1) & (lt_ab | (lt_abc ^ 1)));
     }
+    edge = {u, v};
   }
   return GraphBuilder::from_edges(std::move(edges), n);
 }

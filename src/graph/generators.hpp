@@ -21,6 +21,8 @@ namespace probgraph::gen {
 /// Produces an undirected simple graph with 2^scale vertices and about
 /// edge_factor * 2^scale edges (duplicates/self-loops removed).
 /// Defaults follow the Graph500 partition (a,b,c) = (.57,.19,.19).
+/// The graph depends on the arguments alone, not on the OpenMP team size:
+/// every edge is drawn, in order, from one stream seeded by `seed`.
 CsrGraph kronecker(unsigned scale, double edge_factor, std::uint64_t seed,
                    double a = 0.57, double b = 0.19, double c = 0.19);
 

@@ -1,9 +1,11 @@
 #include "graph/generators.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
 
 #include "algorithms/connected_components.hpp"
+#include "util/threading.hpp"
 
 namespace probgraph::gen {
 namespace {
@@ -63,6 +65,34 @@ TEST(Kronecker, DeterministicUnderSeed) {
   EXPECT_EQ(a.num_edges(), b.num_edges());
   for (VertexId v = 0; v < a.num_vertices(); ++v) {
     ASSERT_EQ(a.degree(v), b.degree(v));
+  }
+}
+
+// The graph depends on the arguments alone: building it under another
+// OpenMP team size must not move a single edge.
+TEST(Kronecker, SameGraphAtEveryTeamSize) {
+  struct Partition {
+    double a, b, c;
+  };
+  for (const Partition p : {Partition{0.57, 0.19, 0.19}, Partition{0.45, 0.15, 0.15}}) {
+    SCOPED_TRACE(testing::Message() << "partition " << p.a << "," << p.b << "," << p.c);
+    const auto build = [&](int team) {
+      util::ThreadScope scope(team);
+      return kronecker(9, 24.0, 123, p.a, p.b, p.c);
+    };
+    const CsrGraph reference = build(1);
+    for (int team = 2; team <= 4; ++team) {
+      SCOPED_TRACE(testing::Message() << "team " << team);
+      const CsrGraph g = build(team);
+      ASSERT_EQ(g.num_vertices(), reference.num_vertices());
+      ASSERT_EQ(g.num_edges(), reference.num_edges());
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        const auto got = g.neighbors(v);
+        const auto want = reference.neighbors(v);
+        ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+            << "vertex " << v;
+      }
+    }
   }
 }
 
