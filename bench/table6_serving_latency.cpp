@@ -55,7 +55,6 @@
 #include "engine/query.hpp"
 #include "graph/generators.hpp"
 #include "io/snapshot.hpp"
-#include "net/line_reader.hpp"
 #include "net/line_scanner.hpp"
 #include "net/socket.hpp"
 #include "net/transport.hpp"
@@ -320,7 +319,8 @@ int main(int argc, char** argv) {
   std::istringstream in(script);
   std::ostringstream out;
   pb::util::Timer proto_timer;
-  const std::size_t answered = eng::serve_session(warm, in, out);
+  const std::size_t answered =
+      eng::serve_session(*eng::make_session_host(warm), in, out);
   const double proto = proto_timer.seconds() / static_cast<double>(answered);
 
   json.add("cold_one_shot_pair", cold * 1e6);
@@ -420,11 +420,11 @@ int main(int argc, char** argv) {
         workers.emplace_back([&server, &completed] {
           try {
             pb::net::Socket sock = pb::net::connect_to("127.0.0.1", server->port());
-            pb::net::LineReader reader(sock, 1 << 16);
+            ReplyReader reader(sock);
             std::string reply;
             for (int i = 0; i < kPerClient; ++i) {
               if (!sock.write_all("pair intersection 0 1\n")) return;
-              if (reader.next(reply) != pb::net::LineReader::Status::kLine) return;
+              if (!reader.next(reply)) return;
               completed.fetch_add(1, std::memory_order_relaxed);
             }
             (void)sock.write_all("quit\n");

@@ -219,15 +219,4 @@ std::unique_ptr<SessionHost> make_session_host(LiveEngine& live) {
   return std::make_unique<LiveSessionHost>(live);
 }
 
-std::size_t serve_session(LiveEngine& live, SessionIo& io, const ServeOptions& opts) {
-  LiveSessionHost host(live);
-  return serve_session(host, io, opts);
-}
-
-std::size_t serve_session(LiveEngine& live, std::istream& in, std::ostream& out,
-                          const ServeOptions& opts) {
-  LiveSessionHost host(live);
-  return serve_session(host, in, out, opts);
-}
-
 }  // namespace probgraph::engine

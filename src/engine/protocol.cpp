@@ -362,8 +362,8 @@ std::string help_reply() {
 namespace {
 
 /// Session-layer instruments, resolved once per process (see the
-/// EngineMetrics pattern in engine.cpp). Every transport funnels through
-/// serve_session, so these cover stdin REPLs, TCP sessions, and in-memory
+/// EngineMetrics pattern in engine.cpp). Every driver funnels through
+/// Session, so these cover stdin REPLs, TCP sessions, and in-memory
 /// test/bench sessions alike.
 struct SessionMetrics {
   obs::Counter* sessions;
@@ -460,7 +460,7 @@ std::vector<BatchItem> SessionHost::run_batch(std::span<const Query> queries) {
   return out;
 }
 
-/// The framing state behind the byte-oriented interface. LineScanner
+/// The framing state behind feed()/pump(). LineScanner
 /// lives in net/ next to its transports; it is implementation detail
 /// here, held behind this pimpl so protocol.hpp stays net-free.
 class Session::Framer {
@@ -560,28 +560,6 @@ void Session::flush_batch() {
   batch_.clear();
 }
 
-void Session::process_line(std::string_view line) {
-  if (done_) return;
-  SessionMetrics& sm = session_metrics();
-  sm.bytes_in->add(line.size() + 1);
-  ParsedRequest req = parse_request(line);
-  if (req.ignored) return;
-  if (req.query) {
-    batch_.push_back({std::move(*req.query), req.report_time, std::string(line)});
-    flush_batch();  // line-oriented drivers answer before their next read
-    return;
-  }
-  flush_batch();
-  dispatch_control(req);
-}
-
-void Session::process_overlong(std::string_view error_text) {
-  if (done_) return;
-  flush_batch();
-  session_metrics().err_overlong->add();
-  emit(format_error(error_text));
-}
-
 void Session::feed(std::string_view bytes) {
   if (done_) return;
   framer_->scanner.feed(bytes);
@@ -592,14 +570,13 @@ void Session::feed_eof() noexcept { eof_ = true; }
 std::size_t Session::pump(std::size_t max_requests) {
   SessionMetrics& sm = session_metrics();
   std::size_t processed = 0;
-  std::string line;
   while (!done_ && processed < max_requests) {
-    net::LineScanner::Next st = framer_->scanner.next(line);
+    net::LineScanner::Next st = framer_->scanner.next(line_);
     if (st == net::LineScanner::Next::kNeedMore) {
       if (!eof_) break;
       // EOF with nothing complete buffered: serve a final unterminated
       // frame like std::getline, then the session is over.
-      st = framer_->scanner.finish(line);
+      st = framer_->scanner.finish(line_);
       if (st == net::LineScanner::Next::kNeedMore) {
         flush_batch();
         done_ = true;
@@ -610,18 +587,20 @@ std::size_t Session::pump(std::size_t max_requests) {
     if (st == net::LineScanner::Next::kOverlong) {
       flush_batch();
       sm.err_overlong->add();
-      emit(format_error(line));
+      emit(format_error(line_));
       continue;
     }
-    sm.bytes_in->add(line.size() + 1);
-    ParsedRequest req = parse_request(line);
+    sm.bytes_in->add(line_.size() + 1);
+    ParsedRequest req = parse_request(line_);
     if (req.ignored) continue;
     if (req.query) {
       // Consecutive plain queries batch up and execute together through
       // SessionHost::run_batch when the turn ends (or a control frame /
       // the fairness bound cuts the batch).
-      batch_.push_back({std::move(*req.query), req.report_time, std::move(line)});
-      line.clear();
+      batch_.push_back({std::move(*req.query), req.report_time, {}});
+      // Only the slow-query log reads the request text; otherwise line_
+      // keeps its buffer for the next frame.
+      if (opts_.slow_query_seconds > 0) batch_.back().line = std::move(line_);
       continue;
     }
     flush_batch();
@@ -629,40 +608,6 @@ std::size_t Session::pump(std::size_t max_requests) {
   }
   flush_batch();
   return processed;
-}
-
-std::size_t serve_session(SessionHost& host, SessionIo& io,
-                          const ServeOptions& opts) {
-  // The blocking driver over the Session state machine: the SessionIo owns
-  // framing (lines in) and flushing (one write per reply line out), the
-  // session owns everything else. Byte-for-byte the replies, metrics, and
-  // error behavior of the pre-reactor loop this grew out of.
-  Session session(host, opts);
-  std::string line;
-  bool io_ok = true;
-  while (io_ok && !session.done()) {
-    const SessionIo::Read st = io.read_line(line);
-    if (st == SessionIo::Read::kEof) break;
-    if (st == SessionIo::Read::kOverlong) {
-      session.process_overlong(line);
-    } else {
-      session.process_line(line);
-    }
-    // Hand each buffered reply line to the transport (it re-adds framing).
-    std::string& out = session.output();
-    std::size_t start = 0;
-    while (start < out.size()) {
-      const std::size_t nl = out.find('\n', start);
-      if (!io.write_line(std::string_view(out).substr(start, nl - start))) {
-        // Peer gone: end quietly, like any other session ending.
-        io_ok = false;
-        break;
-      }
-      start = nl + 1;
-    }
-    out.clear();
-  }
-  return session.answered();
 }
 
 namespace {
@@ -693,45 +638,28 @@ std::unique_ptr<SessionHost> make_session_host(Engine& engine) {
   return std::make_unique<EngineSessionHost>(engine);
 }
 
-std::size_t serve_session(Engine& engine, SessionIo& io,
-                          const ServeOptions& opts) {
-  EngineSessionHost host(engine);
-  return serve_session(host, io, opts);
-}
-
-namespace {
-
-/// The trusted-local-pipe transport: std::getline in, line-flushed out.
-class StreamSessionIo final : public SessionIo {
- public:
-  StreamSessionIo(std::istream& in, std::ostream& out) : in_(in), out_(out) {}
-
-  Read read_line(std::string& line) override {
-    return std::getline(in_, line) ? Read::kLine : Read::kEof;
-  }
-
-  bool write_line(std::string_view reply) override {
-    out_ << reply << "\n" << std::flush;
-    return static_cast<bool>(out_);
-  }
-
- private:
-  std::istream& in_;
-  std::ostream& out_;
-};
-
-}  // namespace
-
 std::size_t serve_session(SessionHost& host, std::istream& in, std::ostream& out,
                           const ServeOptions& opts) {
-  StreamSessionIo io(in, out);
-  return serve_session(host, io, opts);
-}
-
-std::size_t serve_session(Engine& engine, std::istream& in, std::ostream& out,
-                          const ServeOptions& opts) {
-  StreamSessionIo io(in, out);
-  return serve_session(engine, io, opts);
+  // Line by line, not in chunks: a chunked read on an interactive stdin
+  // would block until the chunk filled, holding back the replies to every
+  // request already typed.
+  Session session(host, opts);
+  const auto answer = [&] {
+    session.pump();
+    out << session.output() << std::flush;
+    session.output().clear();
+  };
+  std::string line;
+  while (!session.done() && out && std::getline(in, line)) {
+    // getline drops the newline. Put it back unless the stream ended
+    // first: that last line is unterminated, and feed_eof() serves it.
+    if (!in.eof()) line.push_back('\n');
+    session.feed(line);
+    answer();
+  }
+  session.feed_eof();
+  answer();
+  return session.answered();
 }
 
 }  // namespace probgraph::engine

@@ -133,34 +133,6 @@ struct ParsedRequest {
 /// The "ok\thelp\t..." grammar summary line.
 [[nodiscard]] std::string help_reply();
 
-/// Transport abstraction for a serve session. One implementation per
-/// transport — stdin/stdout streams (the REPL), a TCP connection
-/// (src/net/server.cpp) — so every transport runs the SAME session loop
-/// with the same malformed-frame behavior: err line + continue, never a
-/// crash or a silent drop.
-class SessionIo {
- public:
-  enum class Read {
-    kLine,      ///< `line` holds one complete request line (no newline)
-    kEof,       ///< no more requests; end the session
-    kOverlong,  ///< a frame exceeded the transport's line limit and was
-                ///< discarded up to the next boundary; `line` holds the
-                ///< error text the session answers with
-  };
-
-  virtual ~SessionIo() = default;
-
-  /// Pull the next request line. Blocking; transports map their own error
-  /// conditions (closed socket, stream failure) onto kEof.
-  [[nodiscard]] virtual Read read_line(std::string& line) = 0;
-
-  /// Push one reply line (the transport appends framing and flushes, so
-  /// piped/streamed sessions interleave correctly). Returns false when the
-  /// peer is gone — the session then ends quietly instead of crashing on a
-  /// broken pipe.
-  [[nodiscard]] virtual bool write_line(std::string_view reply) = 0;
-};
-
 /// Per-session serving knobs (pgtool serve flags map onto these).
 struct ServeOptions {
   /// When > 0, any answered query whose execution time meets the threshold
@@ -202,12 +174,13 @@ class SessionHost {
 /// matrix over engine flavors again.
 [[nodiscard]] std::unique_ptr<SessionHost> make_session_host(Engine& engine);
 
-/// The buffer-oriented session state machine — the core every transport
-/// drives. Raw transport bytes go in through feed(), complete reply bytes
+/// The buffer-oriented session state machine — the one way into the
+/// protocol. Raw transport bytes go in through feed(), complete reply bytes
 /// come out through output(); the session neither reads nor writes any
-/// I/O itself, so the SAME machine serves blocking loops (serve_session
-/// below wraps it around a SessionIo) and the epoll reactor (which feeds
-/// nonblocking reads and drains output() through writev).
+/// I/O itself. Every driver is the same loop around it — feed what was
+/// read, pump, write output() — whether the bytes come from a blocking
+/// socket (the threads transport), nonblocking reads drained through
+/// writev (the epoll reactor) or a std::istream (serve_session below).
 ///
 /// Pipelining falls out of the split: feed() may deliver any number of
 /// newline-framed requests in one call (or a fraction of one), and pump()
@@ -219,24 +192,22 @@ class SessionHost {
 /// fairness: a pipelining hog yields the worker between turns).
 ///
 /// Framing, error behavior (err line + keep serving), per-session obs
-/// metrics, and reply bytes are identical across transports and identical
-/// to the blocking loop this class was extracted from. Not thread-safe:
-/// one session is driven by one thread at a time (the reactor's run-queue
-/// handoff guarantees this).
+/// metrics, and reply bytes are therefore identical across drivers. Not
+/// thread-safe: one session is driven by one thread at a time (the
+/// reactor's run-queue handoff guarantees this).
 class Session {
  public:
   /// The host must outlive the session. Destruction records the
   /// per-session metrics (sessions/queries/lifetime) exactly once.
-  /// `max_line_bytes` bounds request lines for byte-fed transports; 0 =
-  /// unbounded (the line-fed drivers below bound their own framing).
+  /// `max_line_bytes` bounds request lines: a longer frame answers one err
+  /// line and the session resyncs at the next newline. 0 = unbounded, for
+  /// a trusted local stream.
   explicit Session(SessionHost& host, ServeOptions opts = {},
                    std::size_t max_line_bytes = 0);
   ~Session();
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
-
-  // --- Byte-oriented interface (event-driven transports). ---
 
   /// Buffer raw transport bytes (any framing fragmentation).
   void feed(std::string_view bytes);
@@ -260,21 +231,11 @@ class Session {
   /// and live verbs not counted) — the transport's queries_answered.
   [[nodiscard]] std::size_t answered() const noexcept { return answered_; }
 
-  // --- Line-oriented interface (transports that frame themselves: the
-  // --- SessionIo drivers below). Each call answers immediately into
-  // --- output().
-
-  /// Process one complete request line (no newline).
-  void process_line(std::string_view line);
-  /// A frame exceeded the transport's limit and was discarded; answer the
-  /// err line (`error_text` is the transport's message).
-  void process_overlong(std::string_view error_text);
-
  private:
   struct PendingQuery {
     Query query;
     bool report_time = false;
-    std::string line;  // original request text (slow-query log)
+    std::string line;  // request text, kept only for the slow-query log
   };
   class Framer;  // LineScanner behind a pointer (net/ stays out of this header)
 
@@ -286,6 +247,7 @@ class Session {
   ServeOptions opts_;
   std::unique_ptr<Framer> framer_;
   std::vector<PendingQuery> batch_;
+  std::string line_;  // the frame being parsed; its buffer is reused across frames
   std::string out_;
   std::size_t answered_ = 0;
   bool eof_ = false;
@@ -293,11 +255,15 @@ class Session {
   util::Timer lifetime_;  // connect-to-close, recorded at destruction
 };
 
-/// Run a serve session over any transport: read request lines until EOF or
-/// quit, answer exactly one reply line per non-ignored request. Malformed
-/// or overlong frames and engine errors become "err" replies and the
-/// session keeps serving. Returns the number of successfully answered
-/// queries (live verbs and metrics scrapes are not counted).
+/// Run one Session over a pair of streams — the stdin REPL and the
+/// in-memory tests and benches: read request lines until EOF or quit,
+/// answer exactly one reply line per non-ignored request, flushing after
+/// each. Malformed frames and engine errors become "err" replies and the
+/// session keeps serving. Lines are unbounded (the stream is a trusted
+/// local pipe; socket transports bound theirs through
+/// net::ServeOptions::max_line_bytes). Pass `*make_session_host(engine)`
+/// for a static or a live engine. Returns the number of successfully
+/// answered queries (live verbs and metrics scrapes are not counted).
 ///
 /// Observability: every session records into obs::Registry::global() —
 /// sessions/bytes/err-reply counters (err causes: "overlong" frames,
@@ -305,20 +271,7 @@ class Session {
 /// internal failures) and per-session query-count/lifetime histograms.
 /// Recording is lock-free on the session path (see obs/instruments.hpp)
 /// and never changes reply bytes.
-std::size_t serve_session(SessionHost& host, SessionIo& io,
-                          const ServeOptions& opts = {});
-
-/// Session over a static Engine: queries only; update/epoch answer an err
-/// line naming --live.
-std::size_t serve_session(Engine& engine, SessionIo& io,
-                          const ServeOptions& opts = {});
-
-/// Stream adapter over the shared loop — the stdin REPL and the in-memory
-/// tests/benches. Lines are unbounded (the transport is a trusted local
-/// pipe); socket transports bound them instead (src/net/line_reader.hpp).
 std::size_t serve_session(SessionHost& host, std::istream& in, std::ostream& out,
-                          const ServeOptions& opts = {});
-std::size_t serve_session(Engine& engine, std::istream& in, std::ostream& out,
                           const ServeOptions& opts = {});
 
 }  // namespace probgraph::engine

@@ -22,7 +22,7 @@ LineScanner::Next LineScanner::next(std::string& line) {
     // Resync after an already-reported overlong frame: drop everything up
     // to and including its newline. This state survives arbitrarily many
     // feeds — a nonblocking transport may deliver the tail a byte at a
-    // time (the bug the blocking LineReader used to have).
+    // time.
     const std::size_t nl = buf_.find('\n', pos_);
     if (nl == std::string::npos) {
       buf_.clear();

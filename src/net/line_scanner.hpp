@@ -6,10 +6,10 @@
 // or one byte at a time. LineScanner reassembles exactly one frame per
 // next() call from whatever feed() has buffered so far, and — crucially
 // for nonblocking transports — keeps ALL of its state across feeds,
-// including the overlong-frame resync below. The blocking LineReader
-// (line_reader.hpp) and the reactor's per-session input path
-// (net/reactor.cpp) are both thin wrappers over this class, so bounded
-// framing behaves identically on every transport.
+// including the overlong-frame resync below. It is the framing inside
+// engine::Session, which every driver feeds (the threads transport, the
+// epoll reactor and the stream driver alike), so bounded framing behaves
+// identically on every transport.
 //
 // The length bound is the transport's only defense against a client that
 // streams bytes without ever sending a newline: instead of growing the

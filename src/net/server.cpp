@@ -12,41 +12,15 @@
 
 #include "engine/generation.hpp"
 #include "engine/protocol.hpp"
-#include "net/line_reader.hpp"
 #include "obs/metrics.hpp"
 
 namespace probgraph::net {
 
 namespace {
 
-/// The socket transport for the shared session loop: bounded framed reads
-/// in, one write per reply out (TCP does the buffering; a reply is small).
-class SocketSessionIo final : public engine::SessionIo {
- public:
-  SocketSessionIo(Socket& sock, std::size_t max_line_bytes)
-      : sock_(sock), reader_(sock, max_line_bytes) {}
-
-  Read read_line(std::string& line) override {
-    switch (reader_.next(line)) {
-      case LineReader::Status::kLine: return Read::kLine;
-      case LineReader::Status::kOverlong: return Read::kOverlong;
-      case LineReader::Status::kEof: break;
-    }
-    return Read::kEof;
-  }
-
-  bool write_line(std::string_view reply) override {
-    std::string framed;
-    framed.reserve(reply.size() + 1);
-    framed.append(reply);
-    framed.push_back('\n');
-    return sock_.write_all(framed);
-  }
-
- private:
-  Socket& sock_;
-  LineReader reader_;
-};
+/// Bytes per blocking read: a whole pipelined burst of requests usually
+/// arrives in one.
+constexpr std::size_t kReadChunk = 16 * 1024;
 
 void set_cloexec(int fd) { ::fcntl(fd, F_SETFD, FD_CLOEXEC); }
 
@@ -83,13 +57,32 @@ void Server::request_stop() noexcept {
 }
 
 void Server::handle(Conn* conn) {
-  SocketSessionIo io(conn->sock, opts_.max_line_bytes);
   try {
     auto host = opts_.live != nullptr ? engine::make_session_host(*opts_.live)
                                       : engine::make_session_host(*opts_.engine);
-    queries_answered_ += engine::serve_session(*host, io, opts_.session);
+    engine::Session session(*host, opts_.session, opts_.max_line_bytes);
+    char buf[kReadChunk];
+    bool peer_open = true;
+    while (peer_open && !session.done()) {
+      const long got = conn->sock.read_some(buf, sizeof buf);
+      if (got > 0) {
+        session.feed({buf, static_cast<std::size_t>(got)});
+      } else {
+        session.feed_eof();  // orderly close or read error: serve what is buffered
+      }
+      // One request per pump and one write per reply: the early replies of
+      // a pipelined burst leave before the late ones are computed.
+      while (peer_open && session.pump(1) > 0) {
+        std::string& out = session.output();
+        // A failed write means the peer is gone: end quietly, like any
+        // other session ending.
+        if (!out.empty()) peer_open = conn->sock.write_all(out);
+        out.clear();
+      }
+    }
+    queries_answered_ += session.answered();
   } catch (...) {
-    // serve_session answers engine errors in-band; anything escaping here
+    // The session answers engine errors in-band; anything escaping here
     // (e.g. bad_alloc) ends this session only, never the server.
   }
   // Flush a FIN so a client that sent `quit` but holds its end open sees

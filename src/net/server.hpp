@@ -5,10 +5,11 @@
 // single read-only mmap — and answers the src/engine/ line protocol to any
 // number of concurrent clients:
 //
-//   * thread-per-connection: each accepted socket gets a std::thread
-//     running the SAME serve_session loop as the stdin REPL, over a
-//     bounded LineReader (overlong/malformed frames answer an err line and
-//     the session continues — never a crash or a silent drop);
+//   * thread-per-connection: each accepted socket gets a std::thread that
+//     drives one engine::Session — blocking read, feed, pump, write —
+//     with the request-line bound of ServeOptions::max_line_bytes
+//     (overlong/malformed frames answer an err line and the session
+//     continues — never a crash or a silent drop);
 //   * one engine, shared: queries hoist their backend dispatch per call
 //     and read the mapping concurrently; the Engine's lazily-built caches
 //     are guarded internally (see engine.hpp "Thread safety"), so sessions

@@ -599,7 +599,8 @@ TEST(Protocol, ServeSessionAnswersErrLinesAndKeepsServing) {
       "quit\n"
       "stats\n");  // after quit: must not be answered
   std::ostringstream out;
-  const std::size_t answered = engine::serve_session(e, in, out);
+  const std::size_t answered =
+      engine::serve_session(*engine::make_session_host(e), in, out);
   EXPECT_EQ(answered, 1u);  // only the first stats
 
   std::vector<std::string> lines;
@@ -621,7 +622,7 @@ TEST(Protocol, GoldenTranscriptIsStable) {
   engine::Engine e = engine::Engine::from_snapshot(data_path("golden.pgs"));
   std::istringstream in(read_file(data_path("serve_session.txt")));
   std::ostringstream out;
-  (void)engine::serve_session(e, in, out);
+  (void)engine::serve_session(*engine::make_session_host(e), in, out);
   EXPECT_EQ(out.str(), read_file(data_path("serve_session.expected")));
 }
 
@@ -640,7 +641,8 @@ TEST(Protocol, MultiSubstrateSessionRoutesPerQuery) {
       "tc kind=1h\n"
       "quit\n");
   std::ostringstream out;
-  const std::size_t answered = engine::serve_session(e, in, out);
+  const std::size_t answered =
+      engine::serve_session(*engine::make_session_host(e), in, out);
   EXPECT_EQ(answered, 6u);
 
   std::vector<std::string> lines;
@@ -668,7 +670,7 @@ TEST(Protocol, MultiGoldenTranscriptsAreStable) {
         std::pair{"serve_multi_pair.txt", "serve_multi_pair.expected"}}) {
     std::istringstream in(read_file(data_path(script)));
     std::ostringstream out;
-    (void)engine::serve_session(e, in, out);
+    (void)engine::serve_session(*engine::make_session_host(e), in, out);
     EXPECT_EQ(out.str(), read_file(data_path(expected))) << script;
   }
 }

@@ -1,12 +1,12 @@
-// net::LineScanner — the socket-independent incremental framer behind both
-// transports' request framing.
+// net::LineScanner — the socket-independent incremental framer behind
+// every session's request framing.
 //
-// The regression this file exists for: the old blocking LineReader's
-// overlong-frame resync assumed it could keep reading until the next
-// newline INSIDE one call. Feeding the same bytes a byte at a time (what a
-// nonblocking socket legitimately delivers) lost the discard state and
-// either re-reported the same oversized frame or served its tail as a
-// request. The scanner's discard state must survive any number of feeds.
+// The regression this file exists for: an overlong-frame resync that
+// assumes it can keep reading until the next newline INSIDE one call.
+// Feeding the same bytes a byte at a time (what a nonblocking socket
+// legitimately delivers) loses such a discard state and either re-reports
+// the same oversized frame or serves its tail as a request. The scanner's
+// discard state must survive any number of feeds.
 #include "net/line_scanner.hpp"
 
 #include <gtest/gtest.h>

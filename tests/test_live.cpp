@@ -392,7 +392,7 @@ TEST(ApplyBatch, ResealedFileRoundTripsThroughSaveLoad) {
     engine::Engine e = engine::Engine::from_snapshot(path);
     std::istringstream in(script);
     std::ostringstream out;
-    engine::serve_session(e, in, out);
+    engine::serve_session(*engine::make_session_host(e), in, out);
     return out.str();
   };
   const std::string sealed_replies = transcript_of(sealed_path.str());
@@ -417,7 +417,7 @@ TEST(LiveEngine, SealSwapsGenerationsAndCachesCannotServeStale) {
   const auto serve_script = [&] {
     std::istringstream in(script);
     std::ostringstream out;
-    engine::serve_session(live, in, out);
+    engine::serve_session(*engine::make_session_host(live), in, out);
     return out.str();
   };
 
@@ -450,7 +450,7 @@ TEST(LiveEngine, SealSwapsGenerationsAndCachesCannotServeStale) {
   engine::Engine cold_engine = engine::Engine::from_snapshot(cold_path.str());
   std::istringstream cold_in(script);
   std::ostringstream cold_out;
-  engine::serve_session(cold_engine, cold_in, cold_out);
+  engine::serve_session(*engine::make_session_host(cold_engine), cold_in, cold_out);
 
   const std::string after = serve_script();
   EXPECT_EQ(after, cold_out.str());

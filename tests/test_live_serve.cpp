@@ -27,9 +27,9 @@
 #include "graph/io.hpp"
 #include "io/snapshot.hpp"
 #include "live/delta.hpp"
-#include "net/line_reader.hpp"
 #include "net/socket.hpp"
 #include "net/transport.hpp"
+#include "serve_client.hpp"
 #include "util/threading.hpp"
 
 namespace probgraph {
@@ -104,7 +104,7 @@ std::string cold_transcript(const std::vector<Edge>& edges, VertexId n,
   engine::Engine e = engine::Engine::from_snapshot(path.str());
   std::istringstream in(script);
   std::ostringstream out;
-  engine::serve_session(e, in, out);
+  engine::serve_session(*engine::make_session_host(e), in, out);
   return out.str();
 }
 
@@ -140,34 +140,10 @@ struct LiveServerFixture {
   std::thread thread;
 };
 
-std::string drain(net::Socket& sock) {
-  std::string out;
-  char buf[4096];
-  for (;;) {
-    const long got = sock.read_some(buf, sizeof buf);
-    if (got <= 0) break;
-    out.append(buf, static_cast<std::size_t>(got));
-  }
-  return out;
-}
-
-std::string run_scripted_session(std::uint16_t port, const std::string& script) {
-  net::Socket sock = net::connect_to("127.0.0.1", port);
-  EXPECT_TRUE(sock.write_all(script));
-  sock.shutdown_write();
-  return drain(sock);
-}
-
-std::string read_reply_line(net::LineReader& reader) {
-  std::string line;
-  EXPECT_EQ(reader.next(line), net::LineReader::Status::kLine);
-  return line;
-}
-
 TEST(LiveServe, UpdateVerbsStageAndSealOverTheWire) {
   LiveServerFixture f;
   net::Socket sock = net::connect_to("127.0.0.1", f.server->port());
-  net::LineReader reader(sock, 1 << 16);
+  ReplyReader reader(sock);
 
   ASSERT_TRUE(sock.write_all("epoch\n"));
   EXPECT_EQ(read_reply_line(reader),
@@ -334,7 +310,7 @@ TEST(LiveServe, ConcurrentSessionsAcrossResealsSeeOnlyWholeGenerations) {
   // before the next so generations advance 1 → 2 → 3 → 4.
   {
     net::Socket sock = net::connect_to("127.0.0.1", f.server->port());
-    net::LineReader reader(sock, 1 << 16);
+    ReplyReader reader(sock);
     for (const live::DeltaBatch& b : batches) {
       std::string req = "update insert";
       for (const Edge& e : b.inserts) {
@@ -412,7 +388,7 @@ TEST(LiveServe, LongSessionPinsAcrossSwapsReplyByReply) {
   };
 
   net::Socket sock = net::connect_to("127.0.0.1", f.server->port());
-  net::LineReader reader(sock, 1 << 16);
+  ReplyReader reader(sock);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(sock.write_all("tc\n"));
     EXPECT_EQ(read_reply_line(reader), tc_line(tc_gen1));

@@ -1,7 +1,8 @@
 // The observability core (src/obs/): histogram bucket math, merge-at-
 // scrape correctness, concurrent-writer exactness, registry identity, and
 // the three exposition formats — plus the protocol surfaces (`metrics`
-// verb, `time` clause, err-cause counters) over an in-memory session.
+// verb, `time` clause, err-cause counters, slow-query log) over an
+// in-memory session.
 //
 // The registry is process-global, so counter assertions here read deltas
 // (value after − value before), never absolute values: other tests in
@@ -10,9 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -258,7 +261,7 @@ std::vector<std::string> serve_lines(engine::Engine& eng,
                                      const std::string& script) {
   std::istringstream in(script);
   std::ostringstream out;
-  engine::serve_session(eng, in, out);
+  engine::serve_session(*engine::make_session_host(eng), in, out);
   std::vector<std::string> lines;
   std::istringstream replies(out.str());
   std::string line;
@@ -327,37 +330,63 @@ TEST(ObsProtocol, ErrCausesAreCountedDistinctly) {
 }
 
 TEST(ObsProtocol, OverlongFramesCountAsTheirOwnCause) {
-  // A fake transport that yields one overlong frame then EOF: the session
-  // must answer an err line AND tally the "overlong" cause — protocol
-  // abuse stays distinguishable from client bugs in the scrape output.
-  class OverlongOnce final : public engine::SessionIo {
-   public:
-    Read read_line(std::string& line) override {
-      if (served_) return Read::kEof;
-      served_ = true;
-      line = "line exceeds the 128-byte limit";
-      return Read::kOverlong;
-    }
-    bool write_line(std::string_view reply) override {
-      replies.emplace_back(reply);
-      return true;
-    }
-    std::vector<std::string> replies;
-
-   private:
-    bool served_ = false;
-  };
-
+  // A 200-byte frame against a 128-byte bound: the session must answer an
+  // err line AND tally the "overlong" cause — protocol abuse stays
+  // distinguishable from client bugs in the scrape output.
   const obs::Labels overlong{{"cause", "overlong"}};
   const std::uint64_t before =
       counter_value("probgraph_session_errors_total", overlong);
   engine::Engine eng = make_engine();
-  OverlongOnce io;
-  EXPECT_EQ(engine::serve_session(eng, io), 0u);
-  ASSERT_EQ(io.replies.size(), 1u);
-  EXPECT_EQ(io.replies[0].rfind("err\t", 0), 0u);
+  const auto host = engine::make_session_host(eng);
+  std::vector<std::string> replies;
+  {
+    engine::Session session(*host, {}, /*max_line_bytes=*/128);
+    session.feed(std::string(200, 'x') + "\n");
+    session.feed_eof();
+    session.pump();
+    EXPECT_TRUE(session.done());
+    EXPECT_EQ(session.answered(), 0u);
+    std::istringstream out(session.output());
+    for (std::string line; std::getline(out, line);) replies.push_back(line);
+  }
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].rfind("err\t", 0), 0u);
   EXPECT_EQ(counter_value("probgraph_session_errors_total", overlong) - before,
             1u);
+}
+
+TEST(ObsProtocol, SlowQueryLogWritesOneStderrLineAndNoReplyBytes) {
+  // `pgtool serve --slow-ms` sets slow_query_seconds. At 1 ns every query
+  // is slow: the session logs exactly one structured stderr line for it,
+  // and its reply bytes are those of a session with the log off.
+  engine::Engine eng = make_engine();
+  const auto host = engine::make_session_host(eng);
+  const auto serve = [&](double slow_query_seconds, std::string& log) {
+    engine::ServeOptions opts;
+    opts.slow_query_seconds = slow_query_seconds;
+    std::istringstream in("pair jaccard 0 1\nquit\n");
+    std::ostringstream out;
+    ::testing::internal::CaptureStderr();
+    (void)engine::serve_session(*host, in, out, opts);
+    log = ::testing::internal::GetCapturedStderr();
+    return out.str();
+  };
+  std::string slow_log;
+  std::string off_log;
+  const std::string slow_replies = serve(1e-9, slow_log);
+  const std::string off_replies = serve(0.0, off_log);
+
+  EXPECT_EQ(slow_replies.rfind("ok\tpair\t0:1=", 0), 0u) << slow_replies;
+  EXPECT_EQ(slow_replies, off_replies);
+  EXPECT_EQ(off_log, "");
+  EXPECT_EQ(std::count(slow_log.begin(), slow_log.end(), '\n'), 1) << slow_log;
+  EXPECT_EQ(slow_log.rfind("pgtool serve: slow-query type=pair mode=sketch "
+                           "substrate=bf/sym elapsed_us=",
+                           0),
+            0u)
+      << slow_log;
+  EXPECT_NE(slow_log.find(" request=\"pair jaccard 0 1\"\n"), std::string::npos)
+      << slow_log;
 }
 
 TEST(ObsEngine, QueriesLatencyAndSubstrateRoutingAreRecorded) {

@@ -39,10 +39,10 @@
 #include "engine/engine.hpp"
 #include "engine/protocol.hpp"
 #include "graph/io.hpp"
-#include "net/line_reader.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_http.hpp"
+#include "serve_client.hpp"
 #include "util/threading.hpp"
 
 namespace probgraph {
@@ -86,36 +86,6 @@ struct ServerFixture {
   std::unique_ptr<net::Transport> server;
   std::thread thread;
 };
-
-/// Read every byte until the server closes the connection.
-std::string drain(net::Socket& sock) {
-  std::string out;
-  char buf[4096];
-  for (;;) {
-    const long got = sock.read_some(buf, sizeof buf);
-    if (got <= 0) break;
-    out.append(buf, static_cast<std::size_t>(got));
-  }
-  return out;
-}
-
-/// Scripted client: connect, send the whole script, half-close, read the
-/// full transcript. Mirrors `pgtool client < script`. The single write is
-/// also the pipelining workload: every request of the script may land in
-/// one segment, and the transcript must still be every reply in order.
-std::string run_scripted_session(std::uint16_t port, const std::string& script) {
-  net::Socket sock = net::connect_to("127.0.0.1", port);
-  EXPECT_TRUE(sock.write_all(script));
-  sock.shutdown_write();
-  return drain(sock);
-}
-
-/// Read exactly one reply line (newline stripped) — for ping-pong tests.
-std::string read_reply_line(net::LineReader& reader) {
-  std::string line;
-  EXPECT_EQ(reader.next(line), net::LineReader::Status::kLine);
-  return line;
-}
 
 std::uint64_t counter_value(const char* name, const obs::Labels& labels = {}) {
   const obs::Counter* c = obs::Registry::global().find_counter(name, labels);
@@ -250,7 +220,7 @@ TEST_P(ServeTransport, LazyCacheBuildIsRaceFreeAcrossSessions) {
 TEST_P(ServeTransport, PartialWritesAndCrlfFramesParse) {
   ServerFixture f(GetParam());
   net::Socket sock = net::connect_to("127.0.0.1", f.server->port());
-  net::LineReader reader(sock, 1 << 16);
+  ReplyReader reader(sock);
 
   // One request split across three writes...
   ASSERT_TRUE(sock.write_all("sta"));
@@ -282,6 +252,31 @@ TEST_P(ServeTransport, OneByteSegmentsReassembleToTheGoldenTranscript) {
   EXPECT_EQ(drain(sock), read_file(data_path("serve_session.expected")));
 }
 
+TEST_P(ServeTransport, FinalRequestWithoutNewlineIsAnsweredAtEof) {
+  // A client that half-closes right after an unterminated last request
+  // still gets its reply: EOF ends that frame, like std::getline, and the
+  // server then closes the connection.
+  ServerFixture f(GetParam());
+  net::Socket sock = net::connect_to("127.0.0.1", f.server->port());
+  ASSERT_TRUE(sock.write_all("stats\ntc"));
+  sock.shutdown_write();
+  ReplyReader reader(sock);
+  std::string stats;
+  std::string tc;
+  std::string extra;
+  ASSERT_TRUE(reader.next(stats));
+  ASSERT_TRUE(reader.next(tc));
+  EXPECT_FALSE(reader.next(extra)) << "unexpected trailing reply: " << extra;
+  EXPECT_EQ(stats.rfind("ok\tstats\tn=32\t", 0), 0u) << stats;
+  EXPECT_EQ(tc.rfind("ok\ttc\t", 0), 0u) << tc;
+
+  // The stream driver answers the same bytes.
+  std::istringstream in("stats\ntc");
+  std::ostringstream out;
+  EXPECT_EQ(engine::serve_session(*engine::make_session_host(f.engine), in, out), 2u);
+  EXPECT_EQ(out.str(), stats + "\n" + tc + "\n");
+}
+
 TEST_P(ServeTransport, PipelinedBurstAnswersEveryReplyInOrder) {
   // 64 identical queries coalesced into one segment (one write, one likely
   // recv) must come back as exactly 64 replies in order — the pipelined
@@ -310,7 +305,7 @@ TEST_P(ServeTransport, OversizedLineAnswersErrAndSessionRecovers) {
   opts.max_line_bytes = 128;
   ServerFixture f(GetParam(), opts);
   net::Socket sock = net::connect_to("127.0.0.1", f.server->port());
-  net::LineReader reader(sock, 1 << 16);
+  ReplyReader reader(sock);
 
   // A 4 KiB frame against a 128-byte bound: one err reply, then the
   // session keeps serving from the next line boundary — malformed frames
@@ -411,7 +406,7 @@ TEST_P(ServeTransport, MaxConnsRejectsWithErrLineThenRecovers) {
 
   // Occupy the single slot and prove the session is live.
   net::Socket held = net::connect_to("127.0.0.1", f.server->port());
-  net::LineReader held_reader(held, 1 << 16);
+  ReplyReader held_reader(held);
   ASSERT_TRUE(held.write_all("stats\n"));
   EXPECT_EQ(read_reply_line(held_reader).rfind("ok\tstats\t", 0), 0u);
 
@@ -470,7 +465,7 @@ TEST_P(ServeTransport, RequestStopUnblocksParkedSessions) {
 TEST_P(ServeTransport, MetricsVerbAndTimeClauseWorkOverSockets) {
   ServerFixture f(GetParam());
   net::Socket sock = net::connect_to("127.0.0.1", f.server->port());
-  net::LineReader reader(sock, 1 << 16);
+  ReplyReader reader(sock);
 
   // `metrics` answers the one-line tab snapshot in-band...
   ASSERT_TRUE(sock.write_all("metrics\n"));
@@ -672,7 +667,7 @@ TEST(ServeNet, OverlongSocketFramesCountTheOverlongCause) {
   opts.max_line_bytes = 128;
   ServerFixture f(net::TransportKind::kThreads, opts);
   net::Socket sock = net::connect_to("127.0.0.1", f.server->port());
-  net::LineReader reader(sock, 1 << 16);
+  ReplyReader reader(sock);
 
   std::string garbage(4096, 'x');
   garbage += '\n';

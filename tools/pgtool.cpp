@@ -1056,9 +1056,10 @@ int run_serve(const Args& a) {
                  a.input.c_str(), e.graph().num_vertices(),
                  io::describe_substrates(info.substrates).c_str(), load_timer.seconds(),
                  live_note);
+    const auto host =
+        live ? engine::make_session_host(*live) : engine::make_session_host(*owned);
     const std::size_t answered =
-        live ? engine::serve_session(*live, std::cin, std::cout, session_opts)
-             : engine::serve_session(*owned, std::cin, std::cout, session_opts);
+        engine::serve_session(*host, std::cin, std::cout, session_opts);
     std::fprintf(stderr, "pgtool serve: session over, %zu quer%s answered\n", answered,
                  answered == 1 ? "y" : "ies");
     print_metrics_summary();
@@ -1112,7 +1113,7 @@ int run_client(const Args& a) {
   std::signal(SIGPIPE, SIG_IGN);
 
   // Single-threaded two-way pump: stdin bytes go to the server as-is (its
-  // LineReader does the framing), reply bytes go to stdout as they arrive.
+  // session does the framing), reply bytes go to stdout as they arrive.
   // Stdin EOF half-closes the connection ("no more requests"); the session
   // ends when the server closes — after `quit`, a stop signal, or a
   // protocol-free probe (empty stdin), so piped transcripts match the
