@@ -289,8 +289,8 @@ int main(int argc, char** argv) {
   eng::Engine warm = eng::Engine::from_snapshot(path);
   const pb::VertexId n = warm.graph().num_vertices();
   std::printf("snapshot: %s — n=%u, %s sketches, %.2f MB file\n", path.c_str(), n,
-              pb::to_string(warm.snapshot_info()->kind),
-              static_cast<double>(warm.snapshot_info()->file_bytes) / 1e6);
+              pb::to_string(warm.snapshot().info().kind),
+              static_cast<double>(warm.snapshot().info().file_bytes) / 1e6);
 
   const eng::Query pair_query =
       eng::PairEstimate{eng::EstimateKind::kIntersection, {{0, 1 % n}, {2 % n, 3 % n}}, false};

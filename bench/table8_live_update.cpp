@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
   constexpr int kPinIters = 20000;
   double direct_us, pinned_us;
   {
-    eng::Engine& e = const_cast<eng::Engine&>(live.current_engine_unsynchronized());
+    const eng::Engine& e = live.current_engine_unsynchronized();
     pb::util::Timer t;
     for (int i = 0; i < kPinIters; ++i) (void)e.run(pair_query);
     direct_us = t.seconds() / kPinIters * 1e6;

@@ -30,9 +30,10 @@ int main() {
   std::printf("graph: n=%u, m=%llu\n", g.num_vertices(),
               static_cast<unsigned long long>(g.num_edges()));
 
-  // One Engine answers every query type; sketches are built lazily with
-  // this configuration (MinHash here, so every estimate carries the
-  // Props.-IV.2/IV.3 exponential deviation bound).
+  // One Engine answers every query type. Its constructor builds this
+  // configuration's sketches over the graph and over its degree-oriented
+  // DAG up front (MinHash here, so every estimate carries the
+  // Props.-IV.2/IV.3 exponential deviation bound); queries never build.
   ProbGraphConfig config;
   config.kind = SketchKind::kKHash;
   config.storage_budget = 0.25;
@@ -56,7 +57,7 @@ int main() {
                 pairs.bound->name);
   }
 
-  // --- Triangle count: the engine orients + sketches the DAG lazily. ---
+  // --- Triangle count: over the DAG sketches the constructor built. ---
   const engine::QueryResult tc = e.run(engine::TriangleCount{});
   const engine::QueryResult tc_exact = e.run(engine::TriangleCount{.exact = true});
   std::printf("\ntriangle count: estimate %.0f vs exact %.0f (%.4fs vs %.4fs)\n",
@@ -99,7 +100,7 @@ int main() {
   }
   engine::Engine served = engine::Engine::from_snapshot(path);
   std::printf("\nmulti-substrate snapshot serves: %s\n",
-              io::describe_substrates(served.snapshot_info()->substrates).c_str());
+              io::describe_substrates(served.snapshot().info().substrates).c_str());
   const double tc_bf = served.run(engine::TriangleCount{}).value;  // BF/dag (primary kind)
   const double tc_kmv =
       served.run(engine::TriangleCount{.sketch = SketchKind::kKmv}).value;  // KMV/dag

@@ -66,7 +66,7 @@ struct EngineMetrics {
           {{"type", type}});
       latency[f] = &reg.histogram(
           "probgraph_query_latency_seconds",
-          "End-to-end Engine::run latency including lazy substrate builds",
+          "End-to-end Engine::run latency, routing and bound evaluation included",
           {{"type", type}});
       bound_width[f] = &reg.histogram(
           "probgraph_bound_rel_width",
@@ -189,65 +189,45 @@ std::optional<double> pair_bound_probability(const ProbGraph& pg, VertexId u, Ve
 }  // namespace
 
 Engine::Engine(CsrGraph g, ProbGraphConfig config)
-    : owned_base_(std::make_unique<const CsrGraph>(std::move(g))),
-      base_(owned_base_.get()),
-      config_(config) {}
+    : snap_(io::build_snapshot(std::move(g), {&config.kind, 1}, /*symmetric=*/true,
+                               /*degree_oriented=*/true, config)) {}
 
 Engine Engine::from_snapshot(const std::string& path) {
-  Engine e{CsrGraph{}, ProbGraphConfig{}};
-  e.owned_base_.reset();
-  e.snap_.emplace(io::load_snapshot(path));
-  e.base_ = &e.snap_->graph();
-  e.config_ = e.snap_->prob_graph().config();
-  return e;
+  return Engine(io::load_snapshot(path));
 }
 
 const CsrGraph& Engine::symmetric_graph() const {
-  if (snap_) {
-    if (const CsrGraph* g = snap_->graph_for(/*degree_oriented=*/false)) return *g;
-    throw std::runtime_error(
-        "snapshot sketches only the degree-oriented DAG (it serves " +
-        io::describe_substrates(snap_->info().substrates) +
-        "); this query needs the symmetric graph (rebuild without --orient, or "
-        "with --orient both)");
-  }
-  return *base_;
+  if (const CsrGraph* g = snap_.graph_for(/*degree_oriented=*/false)) return *g;
+  throw std::runtime_error(
+      "snapshot sketches only the degree-oriented DAG (it serves " +
+      io::describe_substrates(snap_.info().substrates) +
+      "); this query needs the symmetric graph (rebuild without --orient, or "
+      "with --orient both)");
 }
 
-const CsrGraph& Engine::dag() {
-  if (snap_) {
-    if (const CsrGraph* d = snap_->graph_for(/*degree_oriented=*/true)) return *d;
-  }
-  util::MutexLock lock(*cache_mu_);
-  return dag_locked();
-}
-
-const CsrGraph& Engine::dag_locked() {
-  if (snap_) {
-    if (const CsrGraph* d = snap_->graph_for(/*degree_oriented=*/true)) return *d;
-  }
-  if (!dag_) dag_ = std::make_unique<const CsrGraph>(degree_orient(symmetric_graph()));
-  return *dag_;
+const CsrGraph& Engine::dag(std::optional<CsrGraph>& scratch) const {
+  if (const CsrGraph* d = snap_.graph_for(/*degree_oriented=*/true)) return *d;
+  return scratch.emplace(degree_orient(symmetric_graph()));
 }
 
 const ProbGraph* Engine::try_snapshot_pg(std::optional<SketchKind> kind,
                                          bool oriented) const {
-  if (kind) return snap_->find_substrate(*kind, oriented);
-  if (const ProbGraph* pg = snap_->find_substrate(snap_->info().kind, oriented)) {
+  if (kind) return snap_.find_substrate(*kind, oriented);
+  if (const ProbGraph* pg = snap_.find_substrate(snap_.info().kind, oriented)) {
     return pg;
   }
-  return snap_->sole_substrate(oriented);
+  return snap_.sole_substrate(oriented);
 }
 
 bool Engine::snapshot_carries_orientation(bool oriented) const {
-  for (const io::SubstrateInfo& s : snap_->info().substrates) {
+  for (const io::SubstrateInfo& s : snap_.info().substrates) {
     if (s.degree_oriented == oriented) return true;
   }
   return false;
 }
 
 void Engine::fail_routing(std::optional<SketchKind> kind, bool oriented) const {
-  const std::string carried = io::describe_substrates(snap_->info().substrates);
+  const std::string carried = io::describe_substrates(snap_.info().substrates);
   const char* orientation =
       oriented ? "the degree-oriented DAG" : "the symmetric graph";
   // Only suggest kind= when a kind can actually work (some substrate of
@@ -274,7 +254,7 @@ void Engine::fail_routing(std::optional<SketchKind> kind, bool oriented) const {
   // latter is an ambiguity the caller resolves with kind=, not a rebuild.
   if (any_of_orientation) {
     msg = std::string("snapshot carries several sketches of ") + orientation +
-          " but none of the primary kind (" + to_string(snap_->info().kind) +
+          " but none of the primary kind (" + to_string(snap_.info().kind) +
           ") — it serves " + carried + "; pick one with kind=";
   } else {
     msg = std::string("snapshot carries no sketches of ") + orientation +
@@ -285,46 +265,15 @@ void Engine::fail_routing(std::optional<SketchKind> kind, bool oriented) const {
   throw std::runtime_error(msg);
 }
 
-const ProbGraph& Engine::symmetric_pg(std::optional<SketchKind> kind) {
-  if (snap_) {
-    if (const ProbGraph* pg = try_snapshot_pg(kind, /*oriented=*/false)) return *pg;
-    fail_routing(kind, /*oriented=*/false);
-  }
-  check_in_memory_kind(kind);
-  util::MutexLock lock(*cache_mu_);
-  if (!sym_pg_) sym_pg_.emplace(*base_, config_);
-  return *sym_pg_;
-}
-
-const ProbGraph& Engine::oriented_pg(std::optional<SketchKind> kind) {
-  if (snap_) {
-    if (const ProbGraph* pg = try_snapshot_pg(kind, /*oriented=*/true)) return *pg;
-    fail_routing(kind, /*oriented=*/true);
-  }
-  check_in_memory_kind(kind);
-  util::MutexLock lock(*cache_mu_);
-  if (!dag_pg_) {
-    // Keep the §V-A budget meaning of "additional memory on top of the CSR
-    // of G" when sketching the DAG — same as pgtool build --orient.
-    ProbGraphConfig cfg = config_;
-    cfg.budget_reference_bytes = base_->memory_bytes();
-    dag_pg_.emplace(dag_locked(), cfg);
-  }
-  return *dag_pg_;
-}
-
-void Engine::check_in_memory_kind(std::optional<SketchKind> kind) const {
-  if (!kind || *kind == config_.kind) return;
-  throw std::runtime_error(
-      std::string("engine is configured for ") + to_string(config_.kind) +
-      " sketches; kind=" + to_string(*kind) +
-      " needs a rebuild with --sketch, or a multi-substrate snapshot carrying it");
+const ProbGraph& Engine::routed_pg(std::optional<SketchKind> kind, bool oriented) const {
+  if (const ProbGraph* pg = try_snapshot_pg(kind, oriented)) return *pg;
+  fail_routing(kind, oriented);
 }
 
 void Engine::check_vertex(VertexId v) const {
-  if (v >= base_->num_vertices()) {
+  if (v >= graph().num_vertices()) {
     throw std::invalid_argument("vertex " + std::to_string(v) + " out of range (n = " +
-                                std::to_string(base_->num_vertices()) + ")");
+                                std::to_string(graph().num_vertices()) + ")");
   }
 }
 
@@ -342,9 +291,9 @@ void Engine::fill_sketch_meta(QueryResult& r, const ProbGraph& pg,
   r.sketch.degree_oriented = degree_oriented;
 }
 
-QueryResult Engine::run(const Query& query) { return run_with_hint(query, nullptr); }
+QueryResult Engine::run(const Query& query) const { return run_with_hint(query, nullptr); }
 
-QueryResult Engine::run_with_hint(const Query& query, const ProbGraph* sym_hint) {
+QueryResult Engine::run_with_hint(const Query& query, const ProbGraph* sym_hint) const {
   EngineMetrics& m = engine_metrics();
   const std::size_t fam = query.index();
   util::Timer timer;
@@ -360,8 +309,8 @@ QueryResult Engine::run_with_hint(const Query& query, const ProbGraph* sym_hint)
           }
         },
         query);
-    // r.elapsed_seconds deliberately excludes lazy builds (it is part of
-    // the reply); the latency histogram records the full run() wall time,
+    // r.elapsed_seconds times the algorithm alone (it is part of the
+    // reply); the latency histogram records the full run() wall time,
     // which is what a serving operator sees.
     m.latency[fam]->observe(timer.seconds());
     const std::size_t mode = r.exact ? 1 : (r.sketch.used ? 0 : 2);
@@ -403,7 +352,7 @@ bool shared_symmetric_route(const Query& q, std::optional<SketchKind>& route) {
 
 }  // namespace
 
-BatchItem Engine::run_one(const Query& query, const ProbGraph* sym_hint) {
+BatchItem Engine::run_one(const Query& query, const ProbGraph* sym_hint) const {
   BatchItem item;
   util::Timer wall;
   try {
@@ -418,7 +367,7 @@ BatchItem Engine::run_one(const Query& query, const ProbGraph* sym_hint) {
   return item;
 }
 
-std::vector<BatchItem> Engine::run_batch(std::span<const Query> queries) {
+std::vector<BatchItem> Engine::run_batch(std::span<const Query> queries) const {
   std::vector<BatchItem> out;
   out.reserve(queries.size());
   std::size_t i = 0;
@@ -443,7 +392,7 @@ std::vector<BatchItem> Engine::run_batch(std::span<const Query> queries) {
     const ProbGraph* pg = nullptr;
     if (j - i > 1) {
       try {
-        pg = &symmetric_pg(route);
+        pg = &routed_pg(route, /*oriented=*/false);
       } catch (...) {
         pg = nullptr;
       }
@@ -453,40 +402,36 @@ std::vector<BatchItem> Engine::run_batch(std::span<const Query> queries) {
   return out;
 }
 
-QueryResult Engine::exec(const TriangleCount& q) {
+QueryResult Engine::exec(const TriangleCount& q) const {
   QueryResult r;
   r.name = "tc";
   r.exact = q.exact;
   if (q.exact) {
-    const CsrGraph& d = dag();
+    std::optional<CsrGraph> scratch;
+    const CsrGraph& d = dag(scratch);
     util::Timer timer;
     r.value = static_cast<double>(algo::triangle_count_exact_oriented(d));
     r.elapsed_seconds = timer.seconds();
     return r;
   }
-  // Oriented sketches when the source carries or can build them; over a
-  // snapshot without a matching DAG substrate, the full-graph Thm-VII.1
-  // estimator on the symmetric sketches.
-  const ProbGraph* pg = nullptr;
+  // Oriented sketches when the snapshot carries them; without a matching
+  // DAG substrate, the full-graph Thm-VII.1 estimator on the symmetric
+  // sketches.
+  const ProbGraph* pg = try_snapshot_pg(q.sketch, /*oriented=*/true);
   bool full_mode = false;
-  if (snap_) {
-    pg = try_snapshot_pg(q.sketch, /*oriented=*/true);
-    if (pg == nullptr) {
-      // Fall back to the full-mode estimator only when the DAG route is
-      // truly absent. A default route that failed because SEVERAL
-      // non-primary DAG substrates are carried is an ambiguity — error
-      // with "pick one with kind=" rather than silently answering with
-      // the weaker full-graph estimator.
-      if (!q.sketch && snapshot_carries_orientation(/*oriented=*/true)) {
-        fail_routing(q.sketch, /*oriented=*/true);
-      }
-      pg = try_snapshot_pg(q.sketch, /*oriented=*/false);
-      full_mode = true;
+  if (pg == nullptr) {
+    // Fall back to the full-mode estimator only when the DAG route is
+    // truly absent. A default route that failed because SEVERAL
+    // non-primary DAG substrates are carried is an ambiguity — error with
+    // "pick one with kind=" rather than silently answering with the
+    // weaker full-graph estimator.
+    if (!q.sketch && snapshot_carries_orientation(/*oriented=*/true)) {
+      fail_routing(q.sketch, /*oriented=*/true);
     }
-    if (pg == nullptr) fail_routing(q.sketch, /*oriented=*/true);
-  } else {
-    pg = &oriented_pg(q.sketch);
+    pg = try_snapshot_pg(q.sketch, /*oriented=*/false);
+    full_mode = true;
   }
+  if (pg == nullptr) fail_routing(q.sketch, /*oriented=*/true);
   fill_sketch_meta(r, *pg, !full_mode);
   util::Timer timer;
   r.value = algo::triangle_count_probgraph(
@@ -498,18 +443,19 @@ QueryResult Engine::exec(const TriangleCount& q) {
   return r;
 }
 
-QueryResult Engine::exec(const FourCliqueCount& q) {
+QueryResult Engine::exec(const FourCliqueCount& q) const {
   QueryResult r;
   r.name = "4cc";
   r.exact = q.exact;
   if (q.exact) {
-    const CsrGraph& d = dag();
+    std::optional<CsrGraph> scratch;
+    const CsrGraph& d = dag(scratch);
     util::Timer timer;
     r.value = static_cast<double>(algo::four_clique_count_exact_oriented(d));
     r.elapsed_seconds = timer.seconds();
     return r;
   }
-  const ProbGraph& pg = oriented_pg(q.sketch);
+  const ProbGraph& pg = routed_pg(q.sketch, /*oriented=*/true);
   fill_sketch_meta(r, pg, true);
   util::Timer timer;
   r.value = algo::four_clique_count_probgraph(pg);
@@ -517,7 +463,7 @@ QueryResult Engine::exec(const FourCliqueCount& q) {
   return r;
 }
 
-QueryResult Engine::exec(const KCliqueCount& q) {
+QueryResult Engine::exec(const KCliqueCount& q) const {
   if (q.k < 3) {
     throw std::invalid_argument("kclique needs k >= 3 (got " + std::to_string(q.k) + ")");
   }
@@ -526,13 +472,14 @@ QueryResult Engine::exec(const KCliqueCount& q) {
   r.exact = q.exact;
   r.value = 0.0;
   if (q.exact) {
-    const CsrGraph& d = dag();
+    std::optional<CsrGraph> scratch;
+    const CsrGraph& d = dag(scratch);
     util::Timer timer;
     r.value = static_cast<double>(algo::kclique_count_exact_oriented(d, q.k));
     r.elapsed_seconds = timer.seconds();
     return r;
   }
-  const ProbGraph& pg = oriented_pg(q.sketch);
+  const ProbGraph& pg = routed_pg(q.sketch, /*oriented=*/true);
   fill_sketch_meta(r, pg, true);
   util::Timer timer;
   r.value = algo::kclique_count_probgraph(pg, q.k);
@@ -540,20 +487,21 @@ QueryResult Engine::exec(const KCliqueCount& q) {
   return r;
 }
 
-QueryResult Engine::exec(const ClusteringCoeff& q) {
+QueryResult Engine::exec(const ClusteringCoeff& q) const {
   const CsrGraph& g = symmetric_graph();  // wedge counts need true degrees
   QueryResult r;
   r.name = "cc";
   r.exact = q.exact;
   if (q.exact) {
-    const CsrGraph& d = dag();
+    std::optional<CsrGraph> scratch;
+    const CsrGraph& d = dag(scratch);
     util::Timer timer;
     const double tc = static_cast<double>(algo::triangle_count_exact_oriented(d));
     r.value = algo::global_clustering_coefficient(g, tc);
     r.elapsed_seconds = timer.seconds();
     return r;
   }
-  const ProbGraph& pg = symmetric_pg(q.sketch);
+  const ProbGraph& pg = routed_pg(q.sketch, /*oriented=*/false);
   fill_sketch_meta(r, pg, false);
   util::Timer timer;
   const double tc = algo::triangle_count_probgraph(pg, algo::TcMode::kFull);
@@ -570,7 +518,7 @@ QueryResult Engine::exec(const ClusteringCoeff& q) {
   return r;
 }
 
-QueryResult Engine::exec(const Cluster& q) {
+QueryResult Engine::exec(const Cluster& q) const {
   // A non-finite threshold (a protocol "cluster jaccard nan") would make
   // every similarity comparison false and come back as a plausible "ok"
   // reply; reject it at the engine so every front end is covered.
@@ -589,7 +537,7 @@ QueryResult Engine::exec(const Cluster& q) {
     r.value = static_cast<double>(res.num_clusters);
     return r;
   }
-  const ProbGraph& pg = symmetric_pg(q.sketch);
+  const ProbGraph& pg = routed_pg(q.sketch, /*oriented=*/false);
   fill_sketch_meta(r, pg, false);
   util::Timer timer;
   const auto res = algo::jarvis_patrick_probgraph(pg, q.measure, q.tau);
@@ -599,7 +547,7 @@ QueryResult Engine::exec(const Cluster& q) {
   return r;
 }
 
-QueryResult Engine::exec(const PairEstimate& q, const ProbGraph* sym_hint) {
+QueryResult Engine::exec(const PairEstimate& q, const ProbGraph* sym_hint) const {
   if (q.pairs.empty()) {
     throw std::invalid_argument("pair query needs at least one (u, v) pair");
   }
@@ -624,7 +572,7 @@ QueryResult Engine::exec(const PairEstimate& q, const ProbGraph* sym_hint) {
   // Pair estimates are defined over full neighborhoods (|N_u ∩ N_v|), so
   // like cc/cluster/lp they refuse an --orient snapshot: N+ intersections
   // are a different quantity and must not come back as an "ok" reply.
-  const ProbGraph& pg = sym_hint ? *sym_hint : symmetric_pg(q.sketch);
+  const ProbGraph& pg = sym_hint ? *sym_hint : routed_pg(q.sketch, /*oriented=*/false);
   fill_sketch_meta(r, pg, false);
   util::Timer timer;
   pg.visit_backend([&](const auto& be) {
@@ -660,7 +608,7 @@ QueryResult Engine::exec(const PairEstimate& q, const ProbGraph* sym_hint) {
   return r;
 }
 
-QueryResult Engine::exec(const LinkPredict& q, const ProbGraph* sym_hint) {
+QueryResult Engine::exec(const LinkPredict& q, const ProbGraph* sym_hint) const {
   QueryResult r;
   r.name = "lp";
   r.exact = q.exact;
@@ -672,7 +620,7 @@ QueryResult Engine::exec(const LinkPredict& q, const ProbGraph* sym_hint) {
     for (const auto& l : links) r.pairs.push_back({l.u, l.v, l.score});
     return r;
   }
-  const ProbGraph& pg = sym_hint ? *sym_hint : symmetric_pg(q.sketch);
+  const ProbGraph& pg = sym_hint ? *sym_hint : routed_pg(q.sketch, /*oriented=*/false);
   fill_sketch_meta(r, pg, false);
   util::Timer timer;
   const auto links = algo::top_k_links_probgraph(pg, q.measure, q.topk);
@@ -681,23 +629,18 @@ QueryResult Engine::exec(const LinkPredict& q, const ProbGraph* sym_hint) {
   return r;
 }
 
-QueryResult Engine::exec(const GraphStats&) {
+QueryResult Engine::exec(const GraphStats&) const {
   QueryResult r;
   r.name = "stats";
   util::Timer timer;
   // Stats describe the symmetric graph whenever the source carries it —
-  // even in a dag-primary multi-substrate file, where base_ is the DAG
+  // even in a dag-primary multi-substrate file, where graph() is the DAG
   // but the neighborhood queries of the same session answer over the
   // carried symmetric CSR. Only a DAG-only snapshot reports DAG
   // (out-degree) statistics.
-  const CsrGraph* src = base_;
-  bool dag_stats = snap_ && snap_->info().degree_oriented;
-  if (dag_stats) {
-    if (const CsrGraph* sym = snap_->graph_for(/*degree_oriented=*/false)) {
-      src = sym;
-      dag_stats = false;
-    }
-  }
+  const CsrGraph* src = snap_.graph_for(/*degree_oriented=*/false);
+  const bool dag_stats = src == nullptr;
+  if (dag_stats) src = snap_.graph_for(/*degree_oriented=*/true);
   GraphStatsInfo s;
   s.num_vertices = src->num_vertices();
   // num_edges() halves the adjacency length, which is only right for a

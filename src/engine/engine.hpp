@@ -1,23 +1,23 @@
-// The query engine: one loaded graph (+ sketches), many typed queries.
+// The query engine: one substrate portfolio, many typed queries.
 //
-// An Engine owns a graph source — either an in-memory CsrGraph handed to
-// the constructor or an mmap'ed .pgs snapshot — and executes `Query`
-// requests against it (query.hpp). It resolves everything a query needs
+// An Engine serves exactly one io::Snapshot (io/snapshot.hpp) and executes
+// `Query` requests against it (query.hpp). The snapshot is either mapped
+// zero-copy from a .pgs file (from_snapshot) or built up front in memory
+// (the CsrGraph constructor, or io::build_snapshot); both are the same
+// immutable object, so every query takes the one routing path below
+// whatever is behind it. The Engine resolves everything a query needs
 // exactly once:
 //
-//   * sketch sets are built lazily and cached: an in-memory Engine can
-//     answer both neighborhood queries (sketches over G) and counting
-//     queries (sketches over the degree-oriented DAG, budget-referenced to
-//     G's CSR as in §V-A) from the same instance, paying each construction
-//     at most once;
-//   * a snapshot-backed Engine serves the file's prebuilt sketches
-//     zero-copy and never re-sketches. A v2 .pgs file can carry MULTIPLE
-//     substrates — sketch kinds × orientations — and every query is routed
-//     per the rules below; queries whose substrate the file does not carry
-//     fail with a descriptive std::runtime_error naming what it serves
-//     (triangle counting is the exception: without a DAG substrate it
-//     falls back to the Theorem-VII.1 full-graph estimator over the
-//     symmetric sketches);
+//   * sketches are built before the Engine exists and never after. A
+//     snapshot can carry MULTIPLE substrates — sketch kinds × orientations
+//     — and every query is routed per the rules below; queries whose
+//     substrate the snapshot does not carry fail with a descriptive
+//     std::runtime_error naming what it serves (triangle counting is the
+//     exception: without a DAG substrate it falls back to the
+//     Theorem-VII.1 full-graph estimator over the symmetric sketches);
+//   * exact counting runs over the carried DAG CSR, or, when the snapshot
+//     carries none (a default `pgtool build`), over a DAG oriented from
+//     the symmetric graph for that one call;
 //   * the sketch-kind/estimator dispatch is hoisted per query via
 //     ProbGraph::visit_backend, so batched queries (PairEstimate,
 //     LinkPredict) score every pair through a monomorphic call chain.
@@ -29,102 +29,67 @@
 //
 //   1. an explicit kind routes to exactly (kind, orientation) — carried or
 //      error;
-//   2. no kind defaults to the file's PRIMARY substrate's kind at the
+//   2. no kind defaults to the snapshot's PRIMARY substrate's kind at the
 //      needed orientation;
 //   3. if the primary kind is not carried at that orientation but exactly
 //      ONE substrate of it exists, that one answers (the unambiguous
 //      fallback that keeps v1 single-substrate files working unchanged);
 //   4. otherwise the query fails, naming the carried substrates.
 //
-// In-memory engines build exactly one configured kind; an explicit kind
-// must match it (lazily building arbitrary kinds on demand would make the
-// cache an unbounded map — serve a multi-substrate snapshot instead).
-//
 // This is the substrate of `pgtool serve`: map the snapshot once, run an
 // Engine over it, answer arbitrarily many queries with zero per-query
-// setup. The one-shot pgtool commands are thin parsers producing a Query
-// for the same Engine, so one-shot and served results are bit-identical.
+// setup. The one-shot pgtool commands build the substrate their query
+// reads and run the same Engine, so one-shot and served results are
+// bit-identical.
 //
-// Thread safety (the contract the concurrent serving layer, src/net/,
-// relies on — every TCP session shares ONE Engine over one mapping).
+// Thread safety (the contract the serving layer, src/net/, relies on —
+// every session shares ONE Engine). An Engine never changes after
+// construction: run() and run_batch() are const, and the serving layers
+// hold `const Engine&`, so the compiler states what this comment explains.
 //
-// The MACHINE-CHECKED source of truth is the annotations on the members
-// and methods below (util/thread_annotations.hpp): cache_mu_ is the
-// capability, the GUARDED_BY fields are everything it protects, and the
-// EXCLUDES/REQUIRES on the accessors are the locking protocol. The CI
-// Clang leg compiles all of src/ with -Wthread-safety -Werror, and the
-// configure-time negative-compile tests (tests/negative_compile/) prove
-// the analysis actually fires — so this comment can explain WHY the
-// scheme is safe without being the only thing stopping an unguarded
-// access. Where prose and annotations disagree, the annotations win.
-//
-//   * concurrent run() calls from any number of threads are safe. The
-//     graph, the mapped snapshot, and every built ProbGraph are immutable
-//     after construction and only read; each call gets its own
-//     QueryResult.
-//   * the ONLY mutable state is the trio of lazily-built caches — exactly
-//     the three GUARDED_BY(*cache_mu_) members below, nothing else.
-//     Construction is serialized by that mutex: the first query needing a
-//     cache builds it while others wait, every later query takes one
-//     uncontended lock to fetch the (stable, unique_ptr-held) pointer and
-//     then runs lock-free. Snapshot-backed engines never build sketches,
-//     so their hot path takes no lock at all for sketch queries.
+//   * concurrent run()/run_batch() calls from any number of threads are
+//     safe and take no lock: each only reads the immutable snapshot and
+//     builds its own QueryResult.
 //   * construction, moves, and destruction are NOT thread-safe — create
 //     the Engine before spawning sessions and destroy it after joining
 //     them, exactly what the net:: transports do.
-//   * the contract is thread-AGNOSTIC on the caller side: nothing here
-//     cares which OS thread issues a run() call. The thread-per-connection
-//     transport gives every session its own thread for its whole lifetime;
-//     the epoll reactor (net/reactor.hpp) multiplexes MANY sessions over a
-//     small fixed worker pool, so consecutive queries of one session may
-//     run on different workers and one worker interleaves queries of many
-//     sessions. Both are safe for the same reason concurrent run() is: the
-//     Engine keeps no per-thread or per-session state, and the reactor's
-//     run-queue handoff orders each session's queries (a session is owned
-//     by at most one worker at a time). run_batch() is run() called in a
-//     loop plus a per-batch hoist of immutable routing state — it adds no
-//     new mutable state and inherits the same guarantees.
+//   * the contract is thread-AGNOSTIC on the caller side: the threads
+//     transport gives every session its own thread, the epoll reactor
+//     (net/reactor.hpp) multiplexes many sessions over a small worker pool.
+//     Both are safe for the same reason: the Engine keeps no per-thread or
+//     per-session state.
 //   * instrumentation adds no locks to this picture. Every run() records
-//     into process-global obs:: instruments (counters and histograms,
-//     src/obs/instruments.hpp) whose writes are relaxed atomics on
-//     per-thread-sharded cache lines — concurrent run() calls never
-//     contend on them, and a concurrent metrics scrape (the `metrics`
-//     verb, GET /metrics, or the shutdown summary) only reads those
-//     atomics, so it is safe against any number of in-flight queries and
-//     never perturbs their results. The instrument registry's mutex is
-//     taken once per process (first run() resolves the instrument
-//     pointers), not per query.
+//     into process-global obs:: instruments (src/obs/instruments.hpp)
+//     whose writes are relaxed atomics on per-thread-sharded cache lines,
+//     and a concurrent metrics scrape only reads them. The instrument
+//     registry's mutex is taken once per process (the first run()
+//     resolves the instrument pointers), not per query.
 //
 // Generations (the live-update layer, engine/generation.hpp): a live
 // server holds MANY Engines over time, one per sealed snapshot
-// generation, and swaps between them RCU-style. The contract above
-// extends naturally BECAUSE an Engine is never mutated after its first
-// queries warm the lazy caches: a generation's Engine — including its
-// mutex-guarded dag_/sym_pg_/dag_pg_ caches — is private to that
-// generation's snapshot, so a cache built pre-swap can never describe a
-// post-swap graph. Staleness is structurally impossible: the swap
-// replaces the whole Engine, not any cached piece of one (pinned by
-// tests/test_live.cpp). Sessions must pin a generation (ReadPin) for the
-// duration of each run() call and must not hold the returned references
-// across queries; the writer retires an old generation — destroying its
-// Engine and unmapping its file — only after every pinned reader drains.
+// generation, and swaps between them RCU-style. Because an Engine is
+// immutable, the swap replaces a whole answer source and nothing of one
+// generation can describe another's graph (pinned by tests/test_live.cpp).
+// Sessions must pin a generation (LiveEngine::Reader::Pin) for each run()
+// call and must not hold the returned references across queries; the
+// writer retires an old generation — destroying its Engine and unmapping
+// its file — only after every pinned reader drains.
 //
 // The algorithms underneath parallelize with OpenMP as before; nested
 // parallel regions issued from distinct session threads get independent
 // teams.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/prob_graph.hpp"
 #include "engine/query.hpp"
 #include "graph/csr_graph.hpp"
 #include "io/snapshot.hpp"
-#include "util/sync.hpp"
 
 namespace probgraph::engine {
 
@@ -137,15 +102,20 @@ struct BatchItem {
   std::string error;                  ///< the exception text otherwise
   bool invalid_argument = false;      ///< std::invalid_argument (client bug)
                                       ///< vs anything else (engine/routing)
-  double wall_seconds = 0.0;          ///< full wall time incl. lazy builds
+  double wall_seconds = 0.0;          ///< full run() wall time incl. routing
 };
 
 class Engine {
  public:
-  /// Serve from an in-memory graph (edge list, generator, ...). `config`
-  /// parameterizes any sketches the queries require; they are built lazily
-  /// on first use. The graph is treated as symmetric (undirected).
+  /// Serve an in-memory graph (edge list, generator, ...), treated as
+  /// symmetric. Builds `config.kind`'s sketches over G and over its
+  /// degree-oriented DAG (budget-referenced to G's CSR, §V-A) up front.
+  /// Throws std::invalid_argument on an empty graph ("ProbGraph: empty
+  /// graph").
   explicit Engine(CsrGraph g, ProbGraphConfig config = {});
+
+  /// Serve a snapshot, built in memory (io::build_snapshot) or loaded.
+  explicit Engine(io::Snapshot snapshot) noexcept : snap_(std::move(snapshot)) {}
 
   /// Serve zero-copy from a .pgs snapshot: the file is mmap'ed and
   /// validated once, its prebuilt sketches answer every query with no
@@ -159,113 +129,77 @@ class Engine {
   /// (out-of-range vertices, k < 3, empty pair batch) and
   /// std::runtime_error when the source cannot answer the query (e.g. a
   /// counting estimate over a snapshot of the symmetric graph).
-  [[nodiscard]] QueryResult run(const Query& query);
+  [[nodiscard]] QueryResult run(const Query& query) const;
 
   /// Execute a pipelined batch in request order, capturing each query's
   /// outcome instead of throwing (one bad query must not eat the replies
   /// behind it in the pipeline). Results are BIT-IDENTICAL to calling
   /// run() per query — same values, same error text, same instrumentation
-  /// — the batch only hoists immutable routing work: a maximal run of
-  /// consecutive non-exact PairEstimate/LinkPredict queries naming the
-  /// same substrate (the protocol's `kind=` clause) resolves its
-  /// symmetric ProbGraph once and feeds every query in the run through
-  /// the already-batched est_intersection_batch estimator routing with
-  /// that resolution in hand. Thread-safe like run().
-  [[nodiscard]] std::vector<BatchItem> run_batch(std::span<const Query> queries);
+  /// — the batch only hoists routing work: a maximal run of consecutive
+  /// non-exact PairEstimate/LinkPredict queries naming the same substrate
+  /// (the protocol's `kind=` clause) resolves its symmetric ProbGraph once
+  /// and feeds every query in the run through the already-batched
+  /// est_intersection_batch estimator routing with that resolution in
+  /// hand. Thread-safe like run().
+  [[nodiscard]] std::vector<BatchItem> run_batch(std::span<const Query> queries) const;
 
-  /// The source graph: the symmetric graph for in-memory engines and
-  /// unoriented snapshots, the degree-oriented DAG for `--orient` ones.
-  [[nodiscard]] const CsrGraph& graph() const noexcept { return *base_; }
+  /// The primary substrate's graph: the symmetric graph, unless the
+  /// primary sketches the degree-oriented DAG (an `--orient` snapshot).
+  [[nodiscard]] const CsrGraph& graph() const noexcept { return snap_.graph(); }
 
-  /// Snapshot header facts, or nullptr for in-memory engines.
-  [[nodiscard]] const io::SnapshotInfo* snapshot_info() const noexcept {
-    return snap_ ? &snap_->info() : nullptr;
-  }
-
-  /// The backing snapshot, or nullptr for in-memory engines. The live
-  /// layer (engine/generation.hpp) applies delta batches against this.
-  [[nodiscard]] const io::Snapshot* snapshot() const noexcept {
-    return snap_ ? &*snap_ : nullptr;
-  }
+  /// The snapshot served. The live layer (engine/generation.hpp) applies
+  /// delta batches against it.
+  [[nodiscard]] const io::Snapshot& snapshot() const noexcept { return snap_; }
 
   /// True when the source carries only the degree-oriented DAG (an
   /// `--orient` snapshot with no symmetric substrate): neighborhood
   /// queries are unanswerable.
   [[nodiscard]] bool source_oriented() const noexcept {
-    return snap_ && snap_->graph_for(/*degree_oriented=*/false) == nullptr;
+    return snap_.graph_for(/*degree_oriented=*/false) == nullptr;
   }
 
  private:
-  QueryResult exec(const TriangleCount& q);
-  QueryResult exec(const FourCliqueCount& q);
-  QueryResult exec(const KCliqueCount& q);
-  QueryResult exec(const ClusteringCoeff& q);
-  QueryResult exec(const Cluster& q);
+  QueryResult exec(const TriangleCount& q) const;
+  QueryResult exec(const FourCliqueCount& q) const;
+  QueryResult exec(const KCliqueCount& q) const;
+  QueryResult exec(const ClusteringCoeff& q) const;
+  QueryResult exec(const Cluster& q) const;
   // sym_hint: the pre-resolved symmetric substrate a batch run hoisted
-  // (must equal symmetric_pg(q.sketch)); nullptr resolves per query.
-  QueryResult exec(const PairEstimate& q, const ProbGraph* sym_hint = nullptr);
-  QueryResult exec(const LinkPredict& q, const ProbGraph* sym_hint = nullptr);
-  QueryResult exec(const GraphStats& q);
+  // (must equal routed_pg(q.sketch, false)); nullptr resolves per query.
+  QueryResult exec(const PairEstimate& q, const ProbGraph* sym_hint = nullptr) const;
+  QueryResult exec(const LinkPredict& q, const ProbGraph* sym_hint = nullptr) const;
+  QueryResult exec(const GraphStats& q) const;
 
   /// run() with an optional hoisted substrate for pair/lp queries; the
   /// public run() is run_with_hint(query, nullptr).
-  QueryResult run_with_hint(const Query& query, const ProbGraph* sym_hint);
+  QueryResult run_with_hint(const Query& query, const ProbGraph* sym_hint) const;
   /// One run_batch element: run_with_hint with the throws captured.
-  BatchItem run_one(const Query& query, const ProbGraph* sym_hint);
+  BatchItem run_one(const Query& query, const ProbGraph* sym_hint) const;
 
   /// The symmetric graph; throws when the snapshot carries no symmetric
   /// substrate.
   const CsrGraph& symmetric_graph() const;
-  /// The degree-oriented DAG (the snapshot's DAG CSR when it carries one,
-  /// else lazily built from the symmetric graph and cached). Thread-safe.
-  const CsrGraph& dag() EXCLUDES(*cache_mu_);
-  /// dag() with cache_mu_ already held (oriented_pg() composes the two
-  /// lazy builds under one lock).
-  const CsrGraph& dag_locked() REQUIRES(*cache_mu_);
-  /// Snapshot substrate lookup per the routing rules above (explicit kind,
-  /// else primary kind, else sole-of-orientation). nullptr when the file
-  /// does not carry a match. Requires snap_.
+  /// The degree-oriented DAG for an exact count: the snapshot's DAG CSR
+  /// when it carries one, else `scratch`, oriented from the symmetric
+  /// graph for this call.
+  const CsrGraph& dag(std::optional<CsrGraph>& scratch) const;
+  /// Substrate lookup per the routing rules above (explicit kind, else
+  /// primary kind, else sole-of-orientation). nullptr when the snapshot
+  /// does not carry a match.
   const ProbGraph* try_snapshot_pg(std::optional<SketchKind> kind, bool oriented) const;
   /// True when the snapshot carries at least one substrate of the given
-  /// orientation. Requires snap_.
+  /// orientation.
   bool snapshot_carries_orientation(bool oriented) const;
   /// The routing-failure error: names the missing substrate and what the
-  /// file actually serves.
+  /// snapshot actually serves.
   [[noreturn]] void fail_routing(std::optional<SketchKind> kind, bool oriented) const;
-  /// Sketches over the symmetric graph, routed by `kind` (snapshot-served
-  /// or lazily built). Thread-safe.
-  const ProbGraph& symmetric_pg(std::optional<SketchKind> kind)
-      EXCLUDES(*cache_mu_);
-  /// Sketches over the DAG, budget-referenced to the symmetric CSR,
-  /// routed by `kind` (snapshot-served or lazily built). Throws when the
-  /// snapshot carries no matching DAG substrate. Thread-safe.
-  const ProbGraph& oriented_pg(std::optional<SketchKind> kind)
-      EXCLUDES(*cache_mu_);
-  /// In-memory engines build exactly one kind; reject a mismatched route.
-  void check_in_memory_kind(std::optional<SketchKind> kind) const;
+  /// try_snapshot_pg, throwing the routing error when nothing matches.
+  const ProbGraph& routed_pg(std::optional<SketchKind> kind, bool oriented) const;
 
   void check_vertex(VertexId v) const;
   void fill_sketch_meta(QueryResult& r, const ProbGraph& pg, bool degree_oriented) const;
 
-  // unique_ptr members keep the graphs at stable addresses (the lazily
-  // built ProbGraphs hold pointers to them) while the Engine stays movable.
-  std::optional<io::Snapshot> snap_;
-  std::unique_ptr<const CsrGraph> owned_base_;
-  const CsrGraph* base_ = nullptr;
-  ProbGraphConfig config_;
-
-  // Serializes the lazy builds below across concurrent run() calls. Held
-  // through a pointer so the Engine stays movable (single-threaded moves
-  // only, per the contract above). The GUARDED_BY annotations are the
-  // machine-checked form of the lazy-cache contract: Clang's
-  // -Wthread-safety leg rejects any new access outside the lock.
-  std::unique_ptr<util::Mutex> cache_mu_ = std::make_unique<util::Mutex>();
-  std::unique_ptr<const CsrGraph> dag_    // in-memory engines, lazily oriented
-      GUARDED_BY(*cache_mu_);
-  std::optional<ProbGraph> sym_pg_        // lazily built (in-memory engines only)
-      GUARDED_BY(*cache_mu_);
-  std::optional<ProbGraph> dag_pg_        // lazily built (in-memory engines only)
-      GUARDED_BY(*cache_mu_);
+  io::Snapshot snap_;
 };
 
 }  // namespace probgraph::engine

@@ -110,7 +110,7 @@ LiveEngine::SealResult LiveEngine::seal() {
   // batch intact in the members: a throw leaves the old generation
   // serving and the changes staged for a retry.
   live::DeltaBatch batch{staged_inserts_, staged_deletes_};
-  live::UpdatedSnapshot updated = live::apply_batch(*old->engine.snapshot(), batch);
+  live::UpdatedSnapshot updated = live::apply_batch(old->engine.snapshot(), batch);
   const std::string path = base_path_ + ".gen" + std::to_string(next);
   io::save_snapshot(path, updated.substrates);
   auto fresh = std::make_unique<Generation>(

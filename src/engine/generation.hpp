@@ -159,12 +159,12 @@ class LiveEngine {
       Pin(const Pin&) = delete;
       Pin& operator=(const Pin&) = delete;
 
-      [[nodiscard]] Engine& engine() const noexcept { return gen_->engine; }
+      [[nodiscard]] const Engine& engine() const noexcept { return gen_->engine; }
       [[nodiscard]] std::uint64_t generation() const noexcept { return gen_->number; }
 
      private:
       Reader& reader_;
-      Generation* gen_;
+      const Generation* gen_;
     };
     // PROBGRAPH_HOT_PATH_END(live-pin)
 
@@ -211,7 +211,7 @@ class LiveEngine {
 /// (per batch for pipelined batches) through a registered Reader,
 /// update/epoch verbs go to the staging/seal API. One host per session —
 /// the net:: transports create these through the same factory shape as
-/// the static make_session_host(Engine&) (protocol.hpp).
+/// the static make_session_host(const Engine&) (protocol.hpp).
 [[nodiscard]] std::unique_ptr<SessionHost> make_session_host(LiveEngine& live);
 
 }  // namespace probgraph::engine

@@ -544,9 +544,9 @@ void Session::flush_batch() {
     const QueryResult& r = *item.result;
     std::string reply = format_reply(r);
     if (batch_[k].report_time) {
-      // r.elapsed_seconds (execution excluding lazy builds) is the number
-      // the reply documents; the slow-query check below uses the full
-      // wall time, which is what the session actually waited.
+      // r.elapsed_seconds (the algorithm's own time) is the number the
+      // reply documents; the slow-query check below uses the full wall
+      // time, which is what the session actually waited.
       reply += "\telapsed_us=";
       reply += std::to_string(
           static_cast<long long>(std::llround(r.elapsed_seconds * 1e6)));
@@ -615,7 +615,7 @@ namespace {
 /// The static-Engine host: queries run directly, live verbs are refused.
 class EngineSessionHost final : public SessionHost {
  public:
-  explicit EngineSessionHost(Engine& engine) : engine_(engine) {}
+  explicit EngineSessionHost(const Engine& engine) : engine_(engine) {}
 
   QueryResult run(const Query& q) override { return engine_.run(q); }
 
@@ -629,12 +629,12 @@ class EngineSessionHost final : public SessionHost {
   }
 
  private:
-  Engine& engine_;
+  const Engine& engine_;
 };
 
 }  // namespace
 
-std::unique_ptr<SessionHost> make_session_host(Engine& engine) {
+std::unique_ptr<SessionHost> make_session_host(const Engine& engine) {
   return std::make_unique<EngineSessionHost>(engine);
 }
 

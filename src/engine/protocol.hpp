@@ -172,7 +172,7 @@ class SessionHost {
 /// session through this factory (and its LiveEngine counterpart in
 /// engine/generation.hpp), so adding a transport never grows a ctor
 /// matrix over engine flavors again.
-[[nodiscard]] std::unique_ptr<SessionHost> make_session_host(Engine& engine);
+[[nodiscard]] std::unique_ptr<SessionHost> make_session_host(const Engine& engine);
 
 /// The buffer-oriented session state machine — the one way into the
 /// protocol. Raw transport bytes go in through feed(), complete reply bytes

@@ -184,7 +184,7 @@ struct QueryResult {
   std::optional<ClusterInfo> cluster;
   std::optional<GraphStatsInfo> stats;
   std::optional<BoundInfo> bound;
-  double elapsed_seconds = 0.0;     ///< query execution, excluding lazy sketch builds
+  double elapsed_seconds = 0.0;     ///< the algorithm's own time, excluding routing
   SketchMeta sketch;
 };
 

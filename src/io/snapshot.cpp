@@ -6,6 +6,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "graph/orientation.hpp"
@@ -417,7 +418,6 @@ void save_snapshot(const std::string& path,
 SubstrateSet build_substrates(const CsrGraph& g, std::span<const SketchKind> kinds,
                               bool symmetric, bool degree_oriented,
                               ProbGraphConfig base_config) {
-  if (kinds.empty()) throw std::invalid_argument("snapshot: at least one sketch kind");
   if (!symmetric && !degree_oriented) {
     throw std::invalid_argument("snapshot: at least one orientation");
   }
@@ -441,6 +441,32 @@ SubstrateSet build_substrates(const CsrGraph& g, std::span<const SketchKind> kin
     }
   }
   return set;
+}
+
+Snapshot build_snapshot(CsrGraph g, std::span<const SketchKind> kinds, bool symmetric,
+                        bool degree_oriented, ProbGraphConfig base_config) {
+  // The graph goes behind a stable heap pointer BEFORE sketching, so the
+  // ProbGraphs' graph pointers survive every later move.
+  auto sym = std::make_unique<const CsrGraph>(std::move(g));
+  SubstrateSet set = build_substrates(*sym, kinds, symmetric, degree_oriented, base_config);
+  Snapshot snap;
+  if (symmetric) snap.sym_graph_ = std::move(sym);
+  snap.dag_graph_ = std::move(set.dag);
+  for (std::size_t i = 0; i < set.sketches.size(); ++i) {
+    ProbGraph& pg = set.sketches[i];
+    const bool oriented = set.substrates[i].degree_oriented;
+    snap.info_.substrates.push_back({pg.kind(), oriented, pg.construction_seconds()});
+    snap.subs_.push_back(
+        {pg.kind(), oriented, std::make_unique<const ProbGraph>(std::move(pg))});
+  }
+  snap.info_.degree_oriented = !symmetric;
+  snap.info_.num_vertices = snap.graph().num_vertices();
+  snap.info_.num_directed_edges = snap.graph().num_directed_edges();
+  if (!snap.subs_.empty()) {
+    snap.info_.kind = snap.subs_.front().kind;
+    snap.info_.construction_seconds = snap.info_.substrates.front().construction_seconds;
+  }
+  return snap;
 }
 
 Snapshot load_snapshot(const std::string& path) {
@@ -668,7 +694,6 @@ Snapshot load_snapshot(const std::string& path) {
     Snapshot::Substrate sub;
     sub.kind = static_cast<SketchKind>(e.kind);
     sub.degree_oriented = oriented;
-    sub.graph = g;
     try {
       sub.pg = std::make_unique<const ProbGraph>(ProbGraph::from_parts(*g, std::move(parts)));
     } catch (const std::invalid_argument& ex) {

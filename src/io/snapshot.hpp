@@ -134,24 +134,33 @@ struct SubstrateSet {
 
 /// Build one substrate per requested (kind, orientation) over `g` —
 /// kind-major, symmetric before DAG, so `kinds[0]`'s first orientation is
-/// the primary. DAG substrates are budget-referenced to g's CSR bytes
-/// (the §V-A meaning of "additional memory on top of the CSR of G"),
-/// which is the invariant that keeps every substrate bit-identical to the
-/// equivalent single-substrate `pgtool build`. `base_config`'s kind field
-/// is ignored; its other parameters apply to every substrate.
+/// the primary. The DAG is oriented whenever `degree_oriented` is asked
+/// for, even with no kinds. DAG substrates are budget-referenced to g's
+/// CSR bytes (the §V-A meaning of "additional memory on top of the CSR of
+/// G"), which is the invariant that keeps every substrate bit-identical to
+/// the equivalent single-substrate `pgtool build`. `base_config`'s kind
+/// field is ignored; its other parameters apply to every substrate.
 [[nodiscard]] SubstrateSet build_substrates(const CsrGraph& g,
                                             std::span<const SketchKind> kinds,
                                             bool symmetric, bool degree_oriented,
                                             ProbGraphConfig base_config = {});
 
-/// A loaded snapshot: owns the mapping plus the graph/ProbGraph views over
-/// it. Movable; keep it alive as long as estimates are being served.
+/// A substrate portfolio ready to serve: CSR graph(s) plus the sketches
+/// over them. Either mapped from a .pgs file (load_snapshot) or built in
+/// memory with no file behind it (build_snapshot); both answer every
+/// accessor alike, and neither changes after construction. Movable; keep
+/// it alive as long as estimates are being served.
 class Snapshot {
  public:
-  /// The primary substrate's graph / sketches (entry 0 — for a v1 file,
-  /// the only substrate).
-  [[nodiscard]] const CsrGraph& graph() const noexcept { return *subs_.front().graph; }
+  /// The primary substrate's graph (entry 0 — for a v1 file, the only
+  /// substrate). Without substrates: the one CSR carried, the symmetric
+  /// one if both are.
+  [[nodiscard]] const CsrGraph& graph() const noexcept {
+    return *(info_.degree_oriented ? dag_graph_ : sym_graph_);
+  }
+  /// The primary substrate's sketches. Requires at least one substrate.
   [[nodiscard]] const ProbGraph& prob_graph() const noexcept { return *subs_.front().pg; }
+  /// For a built snapshot, `version` and `file_bytes` are 0 (no file).
   [[nodiscard]] const SnapshotInfo& info() const noexcept { return info_; }
 
   [[nodiscard]] std::size_t num_substrates() const noexcept { return subs_.size(); }
@@ -167,26 +176,28 @@ class Snapshot {
   [[nodiscard]] const ProbGraph* sole_substrate(bool degree_oriented) const noexcept;
 
   /// The CSR of the given orientation (shared by every substrate of that
-  /// orientation), or nullptr when no carried substrate covers it.
+  /// orientation), or nullptr when the snapshot does not carry it.
   [[nodiscard]] const CsrGraph* graph_for(bool degree_oriented) const noexcept {
     return degree_oriented ? dag_graph_.get() : sym_graph_.get();
   }
 
  private:
   friend Snapshot load_snapshot(const std::string& path);
+  friend Snapshot build_snapshot(CsrGraph g, std::span<const SketchKind> kinds,
+                                 bool symmetric, bool degree_oriented,
+                                 ProbGraphConfig base_config);
   Snapshot() = default;
 
   struct Substrate {
     SketchKind kind = SketchKind::kBloomFilter;
     bool degree_oriented = false;
-    const CsrGraph* graph = nullptr;  // sym_graph_ or dag_graph_
     // unique_ptr members give each ProbGraph a stable address while
     // keeping Snapshot movable.
     std::unique_ptr<const ProbGraph> pg;
   };
 
   SnapshotInfo info_{};
-  std::shared_ptr<const void> file_;  // the MappedFile keepalive
+  std::shared_ptr<const void> file_;  // the MappedFile keepalive; null when built
   // At most one CSR per orientation; unique_ptr for address stability (the
   // ProbGraphs hold pointers to them).
   std::unique_ptr<const CsrGraph> sym_graph_;
@@ -197,5 +208,15 @@ class Snapshot {
 /// Map `path` and validate magic, version, endianness, size, and payload
 /// checksum. Throws std::runtime_error naming the failed check.
 [[nodiscard]] Snapshot load_snapshot(const std::string& path);
+
+/// The in-memory twin of load_snapshot(save_snapshot(build_substrates(g,
+/// ...))): builds the same portfolio and moves `g`, the DAG and the
+/// sketches into a Snapshot with no file behind it, copying no arena. `g`
+/// is kept only when `symmetric` is asked for. An empty `kinds` carries
+/// the requested CSRs and no substrate (no file can hold that). Throws
+/// what build_substrates throws.
+[[nodiscard]] Snapshot build_snapshot(CsrGraph g, std::span<const SketchKind> kinds,
+                                      bool symmetric, bool degree_oriented,
+                                      ProbGraphConfig base_config = {});
 
 }  // namespace probgraph::io

@@ -11,9 +11,9 @@
 //     (overlong/malformed frames answer an err line and the session
 //     continues — never a crash or a silent drop);
 //   * one engine, shared: queries hoist their backend dispatch per call
-//     and read the mapping concurrently; the Engine's lazily-built caches
-//     are guarded internally (see engine.hpp "Thread safety"), so sessions
-//     need no per-connection state at all;
+//     and read the mapping concurrently; the Engine is immutable and held
+//     const (see engine.hpp "Thread safety"), so sessions need no lock and
+//     no per-connection state at all;
 //   * bounded concurrency: past --max-conns live sessions, a new client is
 //     answered "err\tserver at capacity ..." and closed, which a scripted
 //     client can distinguish from a refused connection;

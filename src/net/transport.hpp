@@ -54,8 +54,8 @@ enum class TransportKind : std::uint8_t {
 /// engine once (mapping the snapshot once) and keep using it after the
 /// transport stops.
 struct ServeOptions {
-  engine::Engine* engine = nullptr;    ///< static snapshot serving
-  engine::LiveEngine* live = nullptr;  ///< generation-swapping live serving
+  const engine::Engine* engine = nullptr;  ///< static snapshot serving
+  engine::LiveEngine* live = nullptr;      ///< generation-swapping live serving
   std::uint16_t port = 0;  ///< 0 = ephemeral; Transport::port() has the bound one
   int max_conns = 16;      ///< live sessions beyond this answer an err line
   std::size_t max_line_bytes = 64 * 1024;  ///< per-session request-line bound

@@ -3,12 +3,12 @@
 //
 // libstdc++'s std::mutex / std::lock_guard carry no capability attributes,
 // so `GUARDED_BY(some_std_mutex)` checks nothing. These thin wrappers are
-// the project's lockable types: every mutex-protected structure (Engine's
-// lazy caches, LiveEngine's writer/slot state, the transports' run-queue
-// and session tables, obs::Registry's instrument list) declares a
-// util::Mutex and annotates the fields it guards, and the CI Clang leg
-// compiles src/ with -Wthread-safety -Werror so an unguarded access is a
-// build break. Zero-cost: both types compile to exactly the std::mutex /
+// the project's lockable types: every mutex-protected structure
+// (LiveEngine's writer/slot state, the transports' run-queue and session
+// tables, obs::Registry's instrument list) declares a util::Mutex and
+// annotates the fields it guards, and the CI Clang leg compiles src/ with
+// -Wthread-safety -Werror so an unguarded access is a build break.
+// Zero-cost: both types compile to exactly the std::mutex /
 // std::lock_guard code they wrap.
 #pragma once
 

@@ -263,7 +263,7 @@ TEST(EngineSnapshot, ServesGoldenPairEstimatesBitIdentical) {
   const CsrGraph g = golden_graph();
   const ProbGraph fresh(g, ProbGraphConfig{});
   engine::Engine e = engine::Engine::from_snapshot(data_path("golden.pgs"));
-  ASSERT_NE(e.snapshot_info(), nullptr);
+  EXPECT_NE(e.snapshot().info().file_bytes, 0u);
   EXPECT_FALSE(e.source_oriented());
 
   std::vector<engine::VertexPair> pairs;
@@ -460,25 +460,36 @@ TEST(EngineMultiSubstrate, StatsPreferTheCarriedSymmetricGraph) {
 }
 
 TEST(EngineMultiSubstrate, ExactQueriesUseTheMappedDagCsr) {
-  // golden_v2.pgs carries the DAG CSR, so exact counting needs no
-  // in-memory re-orientation and still matches the exact free function.
+  // golden_v2.pgs carries the DAG CSR, so exact counting runs over the
+  // mapping; golden.pgs carries only the symmetric graph, so each exact
+  // count orients it for that call. Both match the exact free functions.
   const CsrGraph g = golden_graph();
-  engine::Engine e = engine::Engine::from_snapshot(data_path("golden_v2.pgs"));
-  EXPECT_EQ(e.run(engine::TriangleCount{.exact = true}).value,
-            static_cast<double>(algo::triangle_count_exact(g)));
-  EXPECT_EQ(e.run(engine::FourCliqueCount{.exact = true}).value,
-            static_cast<double>(algo::four_clique_count_exact(g)));
+  const double tc = static_cast<double>(algo::triangle_count_exact(g));
+  for (const char* file : {"golden_v2.pgs", "golden.pgs"}) {
+    SCOPED_TRACE(file);
+    engine::Engine e = engine::Engine::from_snapshot(data_path(file));
+    EXPECT_EQ(e.run(engine::TriangleCount{.exact = true}).value, tc);
+    EXPECT_EQ(e.run(engine::FourCliqueCount{.exact = true}).value,
+              static_cast<double>(algo::four_clique_count_exact(g)));
+    EXPECT_EQ(e.run(engine::KCliqueCount{.k = 4, .exact = true}).value,
+              static_cast<double>(algo::kclique_count_exact(g, 4)));
+    EXPECT_EQ(e.run(engine::ClusteringCoeff{.exact = true}).value,
+              algo::global_clustering_coefficient(g, tc));
+  }
 }
 
 TEST(EngineMultiSubstrate, InMemoryEngineRejectsMismatchedKind) {
-  engine::Engine e(golden_graph());  // configured for BF
+  // An in-memory Engine carries BF/sym and BF/dag (its configured kind in
+  // both orientations); any other kind fails through the snapshot routing.
+  engine::Engine e(golden_graph());
   EXPECT_NO_THROW((void)e.run(engine::TriangleCount{.sketch = SketchKind::kBloomFilter}));
   try {
     (void)e.run(engine::TriangleCount{.sketch = SketchKind::kKmv});
-    FAIL() << "expected a kind mismatch error";
+    FAIL() << "expected a routing error for an uncarried kind";
   } catch (const std::runtime_error& err) {
-    EXPECT_NE(std::string(err.what()).find("configured for BF"), std::string::npos)
-        << err.what();
+    const std::string what = err.what();
+    EXPECT_NE(what.find("KMV/dag"), std::string::npos) << what;
+    EXPECT_NE(what.find("BF/sym, BF/dag"), std::string::npos) << what;
   }
 }
 

@@ -421,8 +421,8 @@ TEST(LiveEngine, SealSwapsGenerationsAndCachesCannotServeStale) {
     return out.str();
   };
 
-  // Pre-swap queries WARM the generation's lazily-built caches — the exact
-  // state a stale-cache bug would leak across the swap.
+  // Pre-swap replies: what the base generation answers, which the swap
+  // must replace whole.
   const std::string before = serve_script();
 
   live.stage(/*tombstone=*/false, std::vector<Edge>{{0, 9}, {3, 17}});
@@ -437,7 +437,7 @@ TEST(LiveEngine, SealSwapsGenerationsAndCachesCannotServeStale) {
   EXPECT_EQ(live.pending().deletes, 0u);
 
   // Post-swap replies must be the UPDATED graph's — byte-identical to a
-  // cold build served fresh, and different from the warmed pre-swap ones.
+  // cold build served fresh, and different from the pre-swap ones.
   TempPath cold_path(".pgs");
   const live::DeltaBatch batch{{{0, 9}, {3, 17}}, {{0, 1}}};
   const CsrGraph cold_g = GraphBuilder::from_edges(edit_edges(golden_edges(), batch), 32);

@@ -314,7 +314,10 @@ TEST(LiveServe, ConcurrentSessionsAcrossResealsSeeOnlyWholeGenerations) {
     for (const live::DeltaBatch& b : batches) {
       std::string req = "update insert";
       for (const Edge& e : b.inserts) {
-        req += " " + std::to_string(e.first) + " " + std::to_string(e.second);
+        req += ' ';
+        req += std::to_string(e.first);
+        req += ' ';
+        req += std::to_string(e.second);
       }
       req += "\n";
       ASSERT_TRUE(sock.write_all(req));
@@ -322,7 +325,10 @@ TEST(LiveServe, ConcurrentSessionsAcrossResealsSeeOnlyWholeGenerations) {
       if (!b.deletes.empty()) {
         req = "update delete";
         for (const Edge& e : b.deletes) {
-          req += " " + std::to_string(e.first) + " " + std::to_string(e.second);
+          req += ' ';
+          req += std::to_string(e.first);
+          req += ' ';
+          req += std::to_string(e.second);
         }
         req += "\n";
         ASSERT_TRUE(sock.write_all(req));

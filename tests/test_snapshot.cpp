@@ -1,6 +1,6 @@
 // The .pgs snapshot subsystem (src/io/).
 //
-// Four guarantees under test:
+// Five guarantees under test:
 //   1. Round trip: for every SketchKind, a loaded snapshot serves
 //      est_intersection / est_jaccard BIT-IDENTICAL to the in-memory build
 //      it was saved from, zero-copy out of the mapping.
@@ -17,16 +17,22 @@
 //      orientations serves EVERY substrate bit-identical to the
 //      single-substrate build it came from, and malformed substrate
 //      combinations are rejected at save time.
+//   5. Built snapshots: io::build_snapshot carries the same substrate
+//      list, CSRs and arenas as the saved-and-loaded portfolio, owned in
+//      memory with no file behind it.
 #include "io/snapshot.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -463,6 +469,103 @@ TEST(GoldenFixtureV2, MatchesFreshBuild) {
     ASSERT_NE(snap.find_substrate(kind, true), nullptr);
     expect_bit_identical(dag, fresh_dag, *snap.find_substrate(kind, true));
   }
+}
+
+// --- Built snapshots: the same portfolio, no file behind it. ---
+
+void expect_same_csr(const CsrGraph& a, const CsrGraph& b) {
+  EXPECT_TRUE(std::ranges::equal(a.offsets(), b.offsets()));
+  EXPECT_TRUE(std::ranges::equal(a.adjacency(), b.adjacency()));
+}
+
+void expect_same_arenas(const ProbGraph& a, const ProbGraph& b) {
+  EXPECT_TRUE(std::ranges::equal(a.bf_arena(), b.bf_arena()));
+  EXPECT_TRUE(std::ranges::equal(a.kh_arena(), b.kh_arena()));
+  EXPECT_TRUE(std::ranges::equal(a.oh_arena(), b.oh_arena()));
+  EXPECT_TRUE(std::ranges::equal(a.kmv_arena(), b.kmv_arena()));
+  EXPECT_TRUE(std::ranges::equal(a.sketch_sizes(), b.sketch_sizes()));
+}
+
+TEST(BuiltSnapshot, AnswersLikeTheSavedAndLoadedPortfolio) {
+  const CsrGraph g = io::read_edge_list(data_path("golden.el"));
+  const std::span<const SketchKind> all(kAllKinds);
+  for (const std::span<const SketchKind> kinds : {all, all.subspan(3)}) {
+    for (const auto& [symmetric, oriented] : {std::pair{true, false}, std::pair{false, true},
+                                              std::pair{true, true}}) {
+      SCOPED_TRACE(std::to_string(kinds.size()) + " kinds, symmetric " +
+                   std::to_string(symmetric) + ", oriented " + std::to_string(oriented));
+      const ProbGraphConfig cfg = config_for(SketchKind::kBloomFilter);
+      const io::SubstrateSet set = io::build_substrates(g, kinds, symmetric, oriented, cfg);
+      TempFile file("built_vs_loaded");
+      io::save_snapshot(file.path, set.substrates);
+      const io::Snapshot loaded = io::load_snapshot(file.path);
+      const io::Snapshot built = io::build_snapshot(CsrGraph(g), kinds, symmetric, oriented, cfg);
+
+      ASSERT_EQ(built.num_substrates(), loaded.num_substrates());
+      ASSERT_EQ(built.info().substrates.size(), loaded.info().substrates.size());
+      for (std::size_t i = 0; i < loaded.info().substrates.size(); ++i) {
+        EXPECT_EQ(built.info().substrates[i].kind, loaded.info().substrates[i].kind);
+        EXPECT_EQ(built.info().substrates[i].degree_oriented,
+                  loaded.info().substrates[i].degree_oriented);
+      }
+      EXPECT_EQ(built.info().kind, loaded.info().kind);
+      EXPECT_EQ(built.info().degree_oriented, loaded.info().degree_oriented);
+      EXPECT_EQ(built.info().num_vertices, loaded.info().num_vertices);
+      EXPECT_EQ(built.info().num_directed_edges, loaded.info().num_directed_edges);
+      EXPECT_EQ(built.info().file_bytes, 0u);
+      expect_same_csr(built.graph(), loaded.graph());
+      EXPECT_EQ(&built.prob_graph().graph(), &built.graph());
+      expect_same_arenas(built.prob_graph(), loaded.prob_graph());
+
+      for (const bool o : {false, true}) {
+        ASSERT_EQ(built.graph_for(o) == nullptr, loaded.graph_for(o) == nullptr);
+        if (built.graph_for(o) != nullptr) {
+          EXPECT_FALSE(built.graph_for(o)->is_mapped());
+          expect_same_csr(*built.graph_for(o), *loaded.graph_for(o));
+        }
+        EXPECT_EQ(built.sole_substrate(o) == nullptr, loaded.sole_substrate(o) == nullptr);
+        for (const SketchKind kind : kAllKinds) {
+          const ProbGraph* b = built.find_substrate(kind, o);
+          const ProbGraph* l = loaded.find_substrate(kind, o);
+          ASSERT_EQ(b == nullptr, l == nullptr) << to_string(kind) << (o ? "/dag" : "/sym");
+          if (b == nullptr) continue;
+          EXPECT_FALSE(b->is_mapped());
+          EXPECT_EQ(&b->graph(), built.graph_for(o));
+          expect_same_arenas(*b, *l);
+          expect_bit_identical(b->graph(), *l, *b);
+        }
+      }
+    }
+  }
+}
+
+TEST(BuiltSnapshot, EmptyKindListCarriesTheRequestedCsrsOnly) {
+  const CsrGraph g = io::read_edge_list(data_path("golden.el"));
+  const CsrGraph dag = degree_orient(g);
+  const io::SubstrateSet set = io::build_substrates(g, {}, true, true);
+  EXPECT_TRUE(set.sketches.empty());
+  ASSERT_NE(set.dag, nullptr);
+  expect_same_csr(*set.dag, dag);
+
+  for (const auto& [symmetric, oriented] : {std::pair{true, false}, std::pair{false, true},
+                                            std::pair{true, true}}) {
+    const io::Snapshot snap = io::build_snapshot(CsrGraph(g), {}, symmetric, oriented);
+    EXPECT_EQ(snap.num_substrates(), 0u);
+    EXPECT_TRUE(snap.info().substrates.empty());
+    EXPECT_EQ(snap.sole_substrate(false), nullptr);
+    EXPECT_EQ(snap.sole_substrate(true), nullptr);
+    ASSERT_EQ(snap.graph_for(false) != nullptr, symmetric);
+    ASSERT_EQ(snap.graph_for(true) != nullptr, oriented);
+    if (symmetric) expect_same_csr(*snap.graph_for(false), g);
+    if (oriented) expect_same_csr(*snap.graph_for(true), dag);
+    // graph() is the requested CSR, the symmetric one when both are.
+    EXPECT_EQ(&snap.graph(), snap.graph_for(!symmetric));
+    EXPECT_EQ(snap.info().degree_oriented, !symmetric);
+  }
+  // No file can hold a portfolio without substrates.
+  TempFile file("no_substrates");
+  EXPECT_THROW(io::save_snapshot(file.path, std::span<const io::SnapshotSubstrate>{}),
+               std::invalid_argument);
 }
 
 }  // namespace

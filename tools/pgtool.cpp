@@ -705,11 +705,14 @@ void print_graph_line(const CsrGraph& g) {
 
 /// Load the command's input into an Engine, printing the banner lines the
 /// serving commands have always printed (snapshot facts, then the graph).
+/// A graph input is built into exactly what the command reads: counting
+/// commands read the degree-oriented DAG, the others the symmetric graph,
+/// and a sketch query one substrate of --sketch's kind.
 engine::Engine make_engine(const Args& a) {
   if (!a.snapshot.empty()) {
     util::Timer load_timer;
     engine::Engine e = engine::Engine::from_snapshot(a.snapshot);
-    const io::SnapshotInfo& info = *e.snapshot_info();
+    const io::SnapshotInfo& info = e.snapshot().info();
     std::printf("snapshot: %s, substrates [%s], %.2f MB file, loaded in %.4fs "
                 "(primary construction %.4fs)\n",
                 a.snapshot.c_str(), io::describe_substrates(info.substrates).c_str(),
@@ -720,7 +723,11 @@ engine::Engine make_engine(const Args& a) {
   }
   CsrGraph g = load_graph(a.input);
   print_graph_line(g);
-  return engine::Engine(std::move(g), a.pg);
+  const bool counting = a.command == "tc" || a.command == "4cc" || a.command == "kclique";
+  const bool sketch = !a.exact && a.command != "stats";
+  return engine::Engine(io::build_snapshot(std::move(g), {&a.pg.kind, sketch ? 1u : 0u},
+                                           /*symmetric=*/!counting,
+                                           /*degree_oriented=*/counting, a.pg));
 }
 
 /// The bound line shared by the commands that surface one.
@@ -848,8 +855,9 @@ int run_stats(const Args& a) {
               r.stats->degree_moment2, r.stats->degree_moment3);
   std::printf("CSR memory: %.2f MB%s\n", static_cast<double>(r.stats->csr_bytes) / 1e6,
               r.stats->mapped ? " (mmap-served)" : "");
-  if (const io::SnapshotInfo* info = e.snapshot_info()) {
-    std::printf("substrates: %s\n", io::describe_substrates(info->substrates).c_str());
+  if (!a.snapshot.empty()) {
+    std::printf("substrates: %s\n",
+                io::describe_substrates(e.snapshot().info().substrates).c_str());
   }
   return 0;
 }
@@ -1040,7 +1048,7 @@ int run_serve(const Args& a) {
     owned.emplace(engine::Engine::from_snapshot(a.input));
   }
   const engine::Engine& e = live ? live->current_engine_unsynchronized() : *owned;
-  const io::SnapshotInfo& info = *e.snapshot_info();
+  const io::SnapshotInfo& info = e.snapshot().info();
   const char* live_note = live ? ", live updates on" : "";
 
   engine::ServeOptions session_opts;
