@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Networked end-to-end check for the concurrent serving layer, shared by
-# the Debug/Release, ASan+UBSan, and TSan CI jobs. Four phases:
+# the Debug/Release, ASan+UBSan, and TSan CI jobs. Three phases:
 #
 # Phase 1 — single-substrate (the v1 golden snapshot):
 #   1. start `pgtool serve --listen` on the golden snapshot (ephemeral
@@ -29,13 +29,6 @@
 # (live/apply.hpp: patched sketches are bit-identical to a cold rebuild).
 # The delta log the server wrote is then replayed offline with
 # `pgtool update --apply-log` and must reproduce the same transcripts.
-#
-# Phase 4 — transport parity (`--transport epoll`): the event-driven
-# reactor transport reruns the static, multi-substrate, and live flows
-# and every transcript is byte-diffed BOTH against the checked-in
-# expectations AND against the thread-per-connection outputs captured in
-# phases 1–3 — the two transports must be observationally identical down
-# to the last byte, including the live update/seal/epoch-swap path.
 #
 # Phase 1 also exercises the observability surface: the server runs with
 # --metrics-port, and WHILE the 4 clients are in flight the script scrapes
@@ -217,93 +210,5 @@ echo "live server stopped gracefully"
   < tests/data/serve_multi_tc.txt > replay_tc.txt
 diff -u cold_tc.txt replay_tc.txt
 echo "delta-log replay reproduces the sealed generation"
-
-# --- Phase 4: the epoll reactor transport must be byte-identical to the
-# --- thread-per-connection transport on every flow above. ---
-
-# 4a: static v1 snapshot, 4 concurrent scripted clients.
-EPOLL_PORT=$((PORT + 4))
-"$PGTOOL" serve tests/data/golden.pgs --threads 1 --listen "$EPOLL_PORT" \
-  --transport epoll --max-conns 8 &
-EPOLL_PID=$!
-wait_ready "$EPOLL_PORT" "$EPOLL_PID"
-
-pids=""
-for i in $(seq 1 "$CLIENTS"); do
-  "$PGTOOL" client 127.0.0.1 "$EPOLL_PORT" \
-    < tests/data/serve_session.txt > "epoll_replies_$i.txt" &
-  pids="$pids $!"
-done
-for p in $pids; do
-  wait "$p"
-done
-for i in $(seq 1 "$CLIENTS"); do
-  diff -u tests/data/serve_session.expected "epoll_replies_$i.txt"
-  diff -u "net_replies_$i.txt" "epoll_replies_$i.txt"
-done
-echo "epoll transport: all $CLIENTS transcripts byte-identical to threads"
-
-kill -TERM "$EPOLL_PID"
-wait "$EPOLL_PID"
-echo "epoll server stopped gracefully"
-
-# 4b: multi-substrate snapshot, two concurrent substrate-family clients.
-EPOLL_MULTI_PORT=$((PORT + 5))
-"$PGTOOL" serve tests/data/golden_v2.pgs --threads 1 \
-  --listen "$EPOLL_MULTI_PORT" --transport epoll --max-conns 8 &
-EPOLL_MULTI_PID=$!
-wait_ready "$EPOLL_MULTI_PORT" "$EPOLL_MULTI_PID"
-
-"$PGTOOL" client 127.0.0.1 "$EPOLL_MULTI_PORT" \
-  < tests/data/serve_multi_tc.txt > epoll_multi_tc.txt &
-TC_PID=$!
-"$PGTOOL" client 127.0.0.1 "$EPOLL_MULTI_PORT" \
-  < tests/data/serve_multi_pair.txt > epoll_multi_pair.txt &
-PAIR_PID=$!
-wait "$TC_PID"
-wait "$PAIR_PID"
-
-diff -u tests/data/serve_multi_tc.expected epoll_multi_tc.txt
-diff -u multi_replies_tc.txt epoll_multi_tc.txt
-diff -u tests/data/serve_multi_pair.expected epoll_multi_pair.txt
-diff -u multi_replies_pair.txt epoll_multi_pair.txt
-echo "epoll transport: multi-substrate transcripts byte-identical to threads"
-
-kill -TERM "$EPOLL_MULTI_PID"
-wait "$EPOLL_MULTI_PID"
-echo "epoll multi-substrate server stopped gracefully"
-
-# 4c: live updates over the reactor — fresh scratch copy, same staged
-# edit, post-swap transcripts vs the SAME cold rebuild phase 3 produced.
-EPOLL_LIVE_PORT=$((PORT + 6))
-cp tests/data/golden_v2.pgs "$WORK/live_epoll.pgs"
-"$PGTOOL" serve "$WORK/live_epoll.pgs" --threads 1 --live \
-  --delta-log "$WORK/live_epoll.pgd" --listen "$EPOLL_LIVE_PORT" \
-  --transport epoll --max-conns 8 &
-EPOLL_LIVE_PID=$!
-wait_ready "$EPOLL_LIVE_PORT" "$EPOLL_LIVE_PID"
-
-"$PGTOOL" client 127.0.0.1 "$EPOLL_LIVE_PORT" \
-  < tests/data/serve_multi_tc.txt > epoll_live_pre_tc.txt
-diff -u tests/data/serve_multi_tc.expected epoll_live_pre_tc.txt
-
-printf 'update insert 0 9 3 17\nupdate delete 0 1\nupdate seal\nepoch\nquit\n' |
-  "$PGTOOL" client 127.0.0.1 "$EPOLL_LIVE_PORT" > epoll_update_replies.txt
-diff -u live_update_replies.txt epoll_update_replies.txt
-echo "epoll transport: update verbs answer the same bytes as threads"
-
-"$PGTOOL" client 127.0.0.1 "$EPOLL_LIVE_PORT" \
-  < tests/data/serve_multi_tc.txt > epoll_live_post_tc.txt
-"$PGTOOL" client 127.0.0.1 "$EPOLL_LIVE_PORT" \
-  < tests/data/serve_multi_pair.txt > epoll_live_post_pair.txt
-diff -u cold_tc.txt epoll_live_post_tc.txt
-diff -u live_post_tc.txt epoll_live_post_tc.txt
-diff -u cold_pair.txt epoll_live_post_pair.txt
-diff -u live_post_pair.txt epoll_live_post_pair.txt
-echo "epoll transport: post-swap transcripts byte-identical to threads + cold"
-
-kill -TERM "$EPOLL_LIVE_PID"
-wait "$EPOLL_LIVE_PID"
-echo "epoll live server stopped gracefully"
 
 rm -rf "$WORK"

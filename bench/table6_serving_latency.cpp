@@ -16,16 +16,12 @@
 //     format) driven through in-memory streams, i.e. what a scripted
 //     `pgtool serve` session measures minus the pipe itself;
 //   * concurrent sessions — 1/2/4 ping-pong TCP clients against ONE
-//     threads-transport server sharing the same mapping (the
-//     `pgtool serve --listen` mode), measuring the per-query round trip
-//     including loopback and the thread-per-connection machinery;
-//   * reactor capacity — 1/64/1k/10k simultaneous sessions against ONE
-//     epoll-transport server (`--transport epoll`), send-all-then-read-all,
-//     showing a fixed worker pool holding five orders of magnitude more
-//     sessions than threads could;
-//   * pipelining — one connection sending bursts of depth 1/8/64 requests
-//     per write against the epoll server; depth amortizes the loopback
-//     round trip, so deep bursts must beat ping-pong by a wide margin.
+//     net::Server sharing the same mapping (the `pgtool serve --listen`
+//     mode), measuring the per-query round trip including loopback and
+//     the thread-per-connection machinery;
+//   * pipelining — one connection to the same server sending bursts of
+//     depth 1/8/64 requests per write; depth amortizes the loopback round
+//     trip, so deep bursts must beat ping-pong by a wide margin.
 //
 // Usage: table6_serving_latency [snapshot.pgs] [--json[=FILE]]
 // Without a snapshot argument it looks for tests/data/golden.pgs (cwd or
@@ -33,12 +29,6 @@
 // --json additionally emits every row as a machine-readable report (to
 // stdout, or to FILE with --json=FILE) in the same spirit as table4's
 // google-benchmark JSON — the CI bench-smoke job archives these.
-#include <sys/resource.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -56,8 +46,8 @@
 #include "graph/generators.hpp"
 #include "io/snapshot.hpp"
 #include "net/line_scanner.hpp"
+#include "net/server.hpp"
 #include "net/socket.hpp"
-#include "net/transport.hpp"
 #include "util/timer.hpp"
 
 namespace pb = probgraph;
@@ -80,10 +70,9 @@ std::string locate_snapshot(const std::vector<std::string>& positional,
   return path;
 }
 
-/// Buffered reply reader for the sweep clients: bulk recv into a
-/// LineScanner so reading 10k (or 64-deep pipelined) replies costs a few
-/// syscalls, not one per byte — the bench must time the server, not a
-/// naive client.
+/// Buffered reply reader for the bench clients: bulk recv into a
+/// LineScanner so reading 64-deep pipelined replies costs a few syscalls,
+/// not one per byte — the bench must time the server, not a naive client.
 struct ReplyReader {
   explicit ReplyReader(pb::net::Socket& s) : sock(&s) {}
   pb::net::Socket* sock;
@@ -98,125 +87,6 @@ struct ReplyReader {
       scanner.feed(buf, static_cast<std::size_t>(got));
     }
   }
-};
-
-/// Client half of the concurrent-sessions sweep, run in a FORKED child
-/// process: K live sessions cost K fds on EACH end and RLIMIT_NOFILE is
-/// per process, so one process holding both ends halves the reachable K
-/// (a 20000-fd limit tops out at ~9950 sessions). The child is forked
-/// while the bench is still single-threaded (fork + threads don't mix),
-/// then driven over a socketpair with "K port" command lines; it answers
-/// "answered seconds" after holding K simultaneous sessions.
-class SweepClient {
- public:
-  SweepClient() = default;
-  SweepClient(const SweepClient&) = delete;
-  SweepClient& operator=(const SweepClient&) = delete;
-  SweepClient(SweepClient&& other) noexcept
-      : cmd_fd_(other.cmd_fd_), pid_(other.pid_) {
-    other.cmd_fd_ = -1;
-    other.pid_ = -1;
-  }
-  ~SweepClient() { stop(); }
-
-  static SweepClient spawn() {
-    int sv[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) return {};
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(sv[0]);
-      ::close(sv[1]);
-      return {};
-    }
-    if (pid == 0) {
-      ::close(sv[0]);
-      client_main(sv[1]);  // never returns
-    }
-    ::close(sv[1]);
-    SweepClient c;
-    c.cmd_fd_ = sv[0];
-    c.pid_ = pid;
-    return c;
-  }
-
-  [[nodiscard]] bool valid() const { return pid_ > 0; }
-
-  /// One sweep: the child connects `sessions` sockets, sends a pair query
-  /// on every one, then collects every reply. Reports the reply count and
-  /// the send-all-then-read-all wall time (connect setup excluded).
-  bool run(int sessions, std::uint16_t port, long& answered, double& secs) {
-    if (!valid()) return false;
-    char cmd[64];
-    const int len = std::snprintf(cmd, sizeof cmd, "%d %u\n", sessions,
-                                  static_cast<unsigned>(port));
-    if (::write(cmd_fd_, cmd, static_cast<std::size_t>(len)) != len) return false;
-    std::string reply;
-    if (!read_line(cmd_fd_, reply)) return false;
-    return std::sscanf(reply.c_str(), "%ld %lf", &answered, &secs) == 2;
-  }
-
-  void stop() {
-    if (cmd_fd_ >= 0) ::close(cmd_fd_);
-    cmd_fd_ = -1;
-    if (pid_ > 0) ::waitpid(pid_, nullptr, 0);
-    pid_ = -1;
-  }
-
- private:
-  static bool read_line(int fd, std::string& line) {
-    line.clear();
-    char c = 0;
-    for (;;) {
-      const ssize_t r = ::read(fd, &c, 1);
-      if (r <= 0) return false;
-      if (c == '\n') return true;
-      line.push_back(c);
-    }
-  }
-
-  [[noreturn]] static void client_main(int fd) {
-    for (;;) {
-      std::string cmd;
-      if (!read_line(fd, cmd)) ::_exit(0);  // parent closed: done
-      int sessions = 0;
-      unsigned port = 0;
-      if (std::sscanf(cmd.c_str(), "%d %u", &sessions, &port) != 2) ::_exit(1);
-      long answered = 0;
-      double secs = 0.0;
-      {
-        std::vector<pb::net::Socket> socks;
-        socks.reserve(static_cast<std::size_t>(sessions));
-        bool ok = true;
-        for (int i = 0; i < sessions && ok; ++i) {
-          try {
-            socks.push_back(
-                pb::net::connect_to("127.0.0.1", static_cast<std::uint16_t>(port)));
-          } catch (const std::exception&) {
-            ok = false;
-          }
-        }
-        if (ok) {
-          pb::util::Timer timer;
-          for (auto& s : socks) {
-            if (!s.write_all("pair intersection 0 1\n")) ok = false;
-          }
-          std::string reply;
-          for (auto& s : socks) {
-            ReplyReader reader(s);
-            if (reader.next(reply) && reply.rfind("ok", 0) == 0) ++answered;
-          }
-          secs = timer.seconds();
-        }
-        for (auto& s : socks) (void)s.write_all("quit\n");
-      }
-      char out[64];
-      const int len = std::snprintf(out, sizeof out, "%ld %.9f\n", answered, secs);
-      if (::write(fd, out, static_cast<std::size_t>(len)) != len) ::_exit(1);
-    }
-  }
-
-  int cmd_fd_ = -1;
-  pid_t pid_ = -1;
 };
 
 double seconds_per_iter(int iters, const auto& body) {
@@ -399,15 +269,16 @@ int main(int argc, char** argv) {
   }
 
   // Concurrent sessions over ONE shared mapping: the thread-per-connection
-  // transport (the `pgtool serve --listen` default), C ping-pong clients
-  // each sending a pair request and waiting for its reply — per-query wire
-  // latency.
+  // server (`pgtool serve --listen`), C ping-pong clients each sending a
+  // pair request and waiting for its reply — per-query wire latency.
+  // Then pipelining on one connection: N requests in one write, the
+  // replies read back as they come, so the loopback round trip amortizes
+  // across the burst.
   {
     pb::net::ServeOptions sopts;
     sopts.engine = &warm;
-    const std::unique_ptr<pb::net::Transport> server =
-        pb::net::make_transport(pb::net::TransportKind::kThreads, sopts);
-    std::thread runner([&] { server->run(); });
+    pb::net::Server server(sopts);
+    std::thread runner([&] { server.run(); });
     constexpr int kPerClient = 2000;
 
     std::printf("\n--- concurrent sessions against one mapping (loopback TCP) ---\n");
@@ -419,7 +290,7 @@ int main(int argc, char** argv) {
       for (int c = 0; c < clients; ++c) {
         workers.emplace_back([&server, &completed] {
           try {
-            pb::net::Socket sock = pb::net::connect_to("127.0.0.1", server->port());
+            pb::net::Socket sock = pb::net::connect_to("127.0.0.1", server.port());
             ReplyReader reader(sock);
             std::string reply;
             for (int i = 0; i < kPerClient; ++i) {
@@ -449,70 +320,11 @@ int main(int argc, char** argv) {
       json.add("tcp_round_trip_" + std::to_string(clients) + "_clients",
                secs / (total / clients) * 1e6);
     }
-    server->request_stop();
-    runner.join();
     std::printf("Round trips include loopback TCP and the per-connection session\n"
                 "thread; aggregate q/s shows how sessions scale on one mapping\n"
                 "(bounded by cores — this is the serving story, not a kernel bench).\n");
-  }
 
-  // Reactor capacity + pipelining: one epoll-transport server, a fixed
-  // worker pool, ONE mapping. The sessions sweep holds K live connections
-  // at once (thread-per-connection would need K threads; the reactor needs
-  // K fds and a Session each), sends one query on every connection, then
-  // collects every reply. The depth sweep pipelines bursts on a single
-  // connection — N requests in one write, N replies in one gathered write
-  // back — so the loopback round trip amortizes across the burst.
-  {
-    // 10k sessions need 10k client fds AND 10k server fds; RLIMIT_NOFILE
-    // is per process, so the client half runs in a forked helper. Raise
-    // the limit first if the environment allows it (the fork inherits the
-    // bump); otherwise cap the sweep at what one process can hold.
-    rlimit lim{65536, 65536};
-    if (setrlimit(RLIMIT_NOFILE, &lim) != 0) {
-      if (getrlimit(RLIMIT_NOFILE, &lim) == 0 && lim.rlim_cur < lim.rlim_max) {
-        rlimit bumped{lim.rlim_max, lim.rlim_max};
-        if (setrlimit(RLIMIT_NOFILE, &bumped) == 0) lim = bumped;
-      }
-    }
-    const auto fd_budget = static_cast<std::size_t>(lim.rlim_cur);
-    const int max_sessions =
-        static_cast<int>(std::min<std::size_t>(10000, fd_budget - 64));
-
-    // Fork BEFORE the server's threads exist.
-    SweepClient sweep = SweepClient::spawn();
-
-    pb::net::ServeOptions sopts;
-    sopts.engine = &warm;
-    sopts.max_conns = 20000;
-    sopts.backlog = 4096;  // a 10k connect storm outruns the default 64
-    const std::unique_ptr<pb::net::Transport> server =
-        pb::net::make_transport(pb::net::TransportKind::kEpoll, sopts);
-    std::thread runner([&] { server->run(); });
-
-    std::printf("\n--- epoll reactor: concurrent sessions on one mapping ---\n");
-    for (const int sessions : {1, 64, 1000, 10000}) {
-      if (sessions > max_sessions) {
-        std::printf("%5d sessions: skipped — RLIMIT_NOFILE=%zu allows only %d\n",
-                    sessions, fd_budget, max_sessions);
-        continue;
-      }
-      long answered = 0;
-      double secs = 0.0;
-      if (!sweep.run(sessions, server->port(), answered, secs) ||
-          answered != sessions) {
-        std::printf("%5d sessions: only %ld replies — skipping the row\n",
-                    sessions, answered);
-        continue;
-      }
-      std::printf("%5d concurrent sessions   %10.3f us/query aggregate | %9.0f q/s\n",
-                  sessions, secs / sessions * 1e6,
-                  static_cast<double>(sessions) / secs);
-      json.add("epoll_sessions_" + std::to_string(sessions), secs / sessions * 1e6);
-    }
-    sweep.stop();
-
-    std::printf("\n--- epoll reactor: pipelined bursts on one connection ---\n");
+    std::printf("\n--- pipelined bursts on one connection ---\n");
     double depth1_us = 0.0;
     for (const int depth : {1, 8, 64}) {
       constexpr int kTotal = 8192;
@@ -520,7 +332,7 @@ int main(int argc, char** argv) {
       std::string burst;
       for (int i = 0; i < depth; ++i) burst += "pair intersection 0 1\n";
       try {
-        pb::net::Socket sock = pb::net::connect_to("127.0.0.1", server->port());
+        pb::net::Socket sock = pb::net::connect_to("127.0.0.1", server.port());
         ReplyReader reader(sock);
         std::string reply;
         bool ok = true;
@@ -545,18 +357,16 @@ int main(int argc, char** argv) {
           std::printf(" | %5.1fx vs depth 1", depth1_us / us);
         }
         std::printf("\n");
-        json.add("epoll_pipeline_depth_" + std::to_string(depth), us);
+        json.add("pipeline_depth_" + std::to_string(depth), us);
       } catch (const std::exception& e) {
         std::fprintf(stderr, "pipelining client error: %s\n", e.what());
       }
     }
 
-    server->request_stop();
+    server.request_stop();
     runner.join();
-    std::printf("The sessions sweep is send-all-then-read-all: every connection is\n"
-                "live at once, a fixed worker pool drains them, and us/query is the\n"
-                "aggregate drain rate. Pipelined depth amortizes the round trip —\n"
-                "deep bursts approach the protocol-loop floor above.\n");
+    std::printf("Pipelined depth amortizes the round trip — deep bursts approach\n"
+                "the protocol-loop floor above.\n");
   }
 
   json.emit(path, n);

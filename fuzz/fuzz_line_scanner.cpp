@@ -1,5 +1,5 @@
 // Fuzz target: net::LineScanner — the newline framer inside every
-// engine::Session, whichever transport feeds it.
+// engine::Session, whichever driver feeds it.
 //
 // Input encoding: byte 0 picks max_line_bytes (0, tiny, or moderate);
 // the rest is the byte stream, fed in chunks whose sizes are derived from

@@ -233,6 +233,10 @@ void Engine::fail_routing(std::optional<SketchKind> kind, bool oriented) const {
   // Only suggest kind= when a kind can actually work (some substrate of
   // the needed orientation exists); otherwise only a rebuild helps.
   const bool any_of_orientation = snapshot_carries_orientation(oriented);
+  // A snapshot built in memory (io::build_snapshot) came from no `pgtool
+  // build` command line: its remedy is an Engine built with the missing
+  // substrate, not a flag.
+  const bool built = snap_.info().version == 0;
   std::string msg;
   if (kind) {
     // The actionable rebuild for a missing kind is --kinds (plus the
@@ -240,13 +244,18 @@ void Engine::fail_routing(std::optional<SketchKind> kind, bool oriented) const {
     // an --orient change, which would reproduce the same error.
     msg = std::string("snapshot carries no ") + to_string(*kind) +
           (oriented ? "/dag substrate" : "/sym substrate") + " (it serves " + carried +
-          "); rebuild with --kinds including " + to_string(*kind);
-    if (!any_of_orientation) {
-      msg += oriented ? " and --orient (or --orient both)"
-                      : " and without --orient (or with --orient both)";
+          "); ";
+    if (built) {
+      msg += std::string("build the Engine with ") + to_string(*kind) + " sketches of " +
+             orientation;
     } else {
-      msg += ", or route to a carried kind with kind=";
+      msg += std::string("rebuild with --kinds including ") + to_string(*kind);
+      if (!any_of_orientation) {
+        msg += oriented ? " and --orient (or --orient both)"
+                        : " and without --orient (or with --orient both)";
+      }
     }
+    if (any_of_orientation) msg += ", or route to a carried kind with kind=";
     throw std::runtime_error(msg);
   }
   // Default route: distinguish "nothing of this orientation" from
@@ -259,8 +268,12 @@ void Engine::fail_routing(std::optional<SketchKind> kind, bool oriented) const {
   } else {
     msg = std::string("snapshot carries no sketches of ") + orientation +
           " (it serves " + carried + "); ";
-    msg += oriented ? "rebuild with --orient or --orient both"
-                    : "rebuild without --orient, or with --orient both";
+    if (built) {
+      msg += std::string("build the Engine with sketches of ") + orientation;
+    } else {
+      msg += oriented ? "rebuild with --orient or --orient both"
+                      : "rebuild without --orient, or with --orient both";
+    }
   }
   throw std::runtime_error(msg);
 }
@@ -291,24 +304,12 @@ void Engine::fill_sketch_meta(QueryResult& r, const ProbGraph& pg,
   r.sketch.degree_oriented = degree_oriented;
 }
 
-QueryResult Engine::run(const Query& query) const { return run_with_hint(query, nullptr); }
-
-QueryResult Engine::run_with_hint(const Query& query, const ProbGraph* sym_hint) const {
+QueryResult Engine::run(const Query& query) const {
   EngineMetrics& m = engine_metrics();
   const std::size_t fam = query.index();
   util::Timer timer;
   try {
-    QueryResult r = std::visit(
-        [this, sym_hint](const auto& q) -> QueryResult {
-          using T = std::decay_t<decltype(q)>;
-          if constexpr (std::is_same_v<T, PairEstimate> ||
-                        std::is_same_v<T, LinkPredict>) {
-            return exec(q, q.exact ? nullptr : sym_hint);
-          } else {
-            return exec(q);
-          }
-        },
-        query);
+    QueryResult r = std::visit([this](const auto& q) { return exec(q); }, query);
     // r.elapsed_seconds times the algorithm alone (it is part of the
     // reply); the latency histogram records the full run() wall time,
     // which is what a serving operator sees.
@@ -331,73 +332,20 @@ QueryResult Engine::run_with_hint(const Query& query, const ProbGraph* sym_hint)
   }
 }
 
-namespace {
-
-/// True when `q` is a non-exact pair/lp query whose symmetric-substrate
-/// route (its `sketch` field) can be hoisted across a batch run; sets
-/// `route` to that field.
-bool shared_symmetric_route(const Query& q, std::optional<SketchKind>& route) {
-  if (const auto* pe = std::get_if<PairEstimate>(&q)) {
-    if (pe->exact) return false;
-    route = pe->sketch;
-    return true;
-  }
-  if (const auto* lp = std::get_if<LinkPredict>(&q)) {
-    if (lp->exact) return false;
-    route = lp->sketch;
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-BatchItem Engine::run_one(const Query& query, const ProbGraph* sym_hint) const {
-  BatchItem item;
-  util::Timer wall;
-  try {
-    item.result = run_with_hint(query, sym_hint);
-  } catch (const std::invalid_argument& e) {
-    item.error = e.what();
-    item.invalid_argument = true;
-  } catch (const std::exception& e) {
-    item.error = e.what();
-  }
-  item.wall_seconds = wall.seconds();
-  return item;
-}
-
 std::vector<BatchItem> Engine::run_batch(std::span<const Query> queries) const {
-  std::vector<BatchItem> out;
-  out.reserve(queries.size());
-  std::size_t i = 0;
-  while (i < queries.size()) {
-    std::optional<SketchKind> route;
-    if (!shared_symmetric_route(queries[i], route)) {
-      out.push_back(run_one(queries[i], nullptr));
-      ++i;
-      continue;
+  std::vector<BatchItem> out(queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    BatchItem& item = out[i];
+    util::Timer wall;
+    try {
+      item.result = run(queries[i]);
+    } catch (const std::invalid_argument& e) {
+      item.error = e.what();
+      item.invalid_argument = true;
+    } catch (const std::exception& e) {
+      item.error = e.what();
     }
-    // Maximal run of consecutive queries sharing one symmetric route.
-    std::size_t j = i + 1;
-    for (std::optional<SketchKind> next_route; j < queries.size(); ++j) {
-      next_route.reset();
-      if (!shared_symmetric_route(queries[j], next_route) || next_route != route) break;
-    }
-    // Hoist the substrate resolution once for the whole run. If routing
-    // fails (snapshot lacks the substrate), fall back to per-query runs so
-    // each query reports the identical error run() would have thrown —
-    // per-query validation (vertex range checks) still happens first
-    // inside exec(), exactly as without the hint.
-    const ProbGraph* pg = nullptr;
-    if (j - i > 1) {
-      try {
-        pg = &routed_pg(route, /*oriented=*/false);
-      } catch (...) {
-        pg = nullptr;
-      }
-    }
-    for (; i < j; ++i) out.push_back(run_one(queries[i], pg));
+    item.wall_seconds = wall.seconds();
   }
   return out;
 }
@@ -547,7 +495,7 @@ QueryResult Engine::exec(const Cluster& q) const {
   return r;
 }
 
-QueryResult Engine::exec(const PairEstimate& q, const ProbGraph* sym_hint) const {
+QueryResult Engine::exec(const PairEstimate& q) const {
   if (q.pairs.empty()) {
     throw std::invalid_argument("pair query needs at least one (u, v) pair");
   }
@@ -572,7 +520,7 @@ QueryResult Engine::exec(const PairEstimate& q, const ProbGraph* sym_hint) const
   // Pair estimates are defined over full neighborhoods (|N_u ∩ N_v|), so
   // like cc/cluster/lp they refuse an --orient snapshot: N+ intersections
   // are a different quantity and must not come back as an "ok" reply.
-  const ProbGraph& pg = sym_hint ? *sym_hint : routed_pg(q.sketch, /*oriented=*/false);
+  const ProbGraph& pg = routed_pg(q.sketch, /*oriented=*/false);
   fill_sketch_meta(r, pg, false);
   util::Timer timer;
   pg.visit_backend([&](const auto& be) {
@@ -608,7 +556,7 @@ QueryResult Engine::exec(const PairEstimate& q, const ProbGraph* sym_hint) const
   return r;
 }
 
-QueryResult Engine::exec(const LinkPredict& q, const ProbGraph* sym_hint) const {
+QueryResult Engine::exec(const LinkPredict& q) const {
   QueryResult r;
   r.name = "lp";
   r.exact = q.exact;
@@ -620,7 +568,7 @@ QueryResult Engine::exec(const LinkPredict& q, const ProbGraph* sym_hint) const 
     for (const auto& l : links) r.pairs.push_back({l.u, l.v, l.score});
     return r;
   }
-  const ProbGraph& pg = sym_hint ? *sym_hint : routed_pg(q.sketch, /*oriented=*/false);
+  const ProbGraph& pg = routed_pg(q.sketch, /*oriented=*/false);
   fill_sketch_meta(r, pg, false);
   util::Timer timer;
   const auto links = algo::top_k_links_probgraph(pg, q.measure, q.topk);

@@ -52,11 +52,10 @@
 //     builds its own QueryResult.
 //   * construction, moves, and destruction are NOT thread-safe — create
 //     the Engine before spawning sessions and destroy it after joining
-//     them, exactly what the net:: transports do.
-//   * the contract is thread-AGNOSTIC on the caller side: the threads
-//     transport gives every session its own thread, the epoll reactor
-//     (net/reactor.hpp) multiplexes many sessions over a small worker pool.
-//     Both are safe for the same reason: the Engine keeps no per-thread or
+//     them, exactly what net::Server does.
+//   * the contract is thread-AGNOSTIC on the caller side: net::Server
+//     gives every session its own thread, and any other driver may share
+//     the Engine the same way, because the Engine keeps no per-thread or
 //     per-session state.
 //   * instrumentation adds no locks to this picture. Every run() records
 //     into process-global obs:: instruments (src/obs/instruments.hpp)
@@ -133,14 +132,9 @@ class Engine {
 
   /// Execute a pipelined batch in request order, capturing each query's
   /// outcome instead of throwing (one bad query must not eat the replies
-  /// behind it in the pipeline). Results are BIT-IDENTICAL to calling
-  /// run() per query — same values, same error text, same instrumentation
-  /// — the batch only hoists routing work: a maximal run of consecutive
-  /// non-exact PairEstimate/LinkPredict queries naming the same substrate
-  /// (the protocol's `kind=` clause) resolves its symmetric ProbGraph once
-  /// and feeds every query in the run through the already-batched
-  /// est_intersection_batch estimator routing with that resolution in
-  /// hand. Thread-safe like run().
+  /// behind it in the pipeline): run() per query, so results are
+  /// BIT-IDENTICAL to calling it directly — same values, same error text,
+  /// same instrumentation. Thread-safe like run().
   [[nodiscard]] std::vector<BatchItem> run_batch(std::span<const Query> queries) const;
 
   /// The primary substrate's graph: the symmetric graph, unless the
@@ -164,17 +158,9 @@ class Engine {
   QueryResult exec(const KCliqueCount& q) const;
   QueryResult exec(const ClusteringCoeff& q) const;
   QueryResult exec(const Cluster& q) const;
-  // sym_hint: the pre-resolved symmetric substrate a batch run hoisted
-  // (must equal routed_pg(q.sketch, false)); nullptr resolves per query.
-  QueryResult exec(const PairEstimate& q, const ProbGraph* sym_hint = nullptr) const;
-  QueryResult exec(const LinkPredict& q, const ProbGraph* sym_hint = nullptr) const;
+  QueryResult exec(const PairEstimate& q) const;
+  QueryResult exec(const LinkPredict& q) const;
   QueryResult exec(const GraphStats& q) const;
-
-  /// run() with an optional hoisted substrate for pair/lp queries; the
-  /// public run() is run_with_hint(query, nullptr).
-  QueryResult run_with_hint(const Query& query, const ProbGraph* sym_hint) const;
-  /// One run_batch element: run_with_hint with the throws captured.
-  BatchItem run_one(const Query& query, const ProbGraph* sym_hint) const;
 
   /// The symmetric graph; throws when the snapshot carries no symmetric
   /// substrate.

@@ -156,16 +156,11 @@ class LiveSessionHost final : public SessionHost {
  public:
   explicit LiveSessionHost(LiveEngine& live) : live_(live), reader_(live) {}
 
-  QueryResult run(const Query& q) override {
-    LiveEngine::Reader::Pin pin(reader_);
-    return pin.engine().run(q);
-  }
-
   std::vector<BatchItem> run_batch(std::span<const Query> queries) override {
     // ONE pin for the whole pipelined batch: every query in it sees the
     // same generation (a strictly stronger form of the whole-generation
-    // guarantee). The pin is bounded by the transports' per-turn fairness
-    // limit, so a pipelining hog delays a seal by at most one turn's work.
+    // guarantee). net::Server pumps one request at a time, so a pipelining
+    // client delays a seal by at most one query's work.
     LiveEngine::Reader::Pin pin(reader_);
     return pin.engine().run_batch(queries);
   }

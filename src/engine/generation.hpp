@@ -210,8 +210,8 @@ class LiveEngine {
 /// A session host over a LiveEngine: queries pin a generation per request
 /// (per batch for pipelined batches) through a registered Reader,
 /// update/epoch verbs go to the staging/seal API. One host per session —
-/// the net:: transports create these through the same factory shape as
-/// the static make_session_host(const Engine&) (protocol.hpp).
+/// net::Server creates these through the same factory shape as the static
+/// make_session_host(const Engine&) (protocol.hpp).
 [[nodiscard]] std::unique_ptr<SessionHost> make_session_host(LiveEngine& live);
 
 }  // namespace probgraph::engine

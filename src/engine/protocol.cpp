@@ -437,31 +437,8 @@ void log_slow_query(std::string_view request, const QueryResult& r,
 
 }  // namespace
 
-std::vector<BatchItem> SessionHost::run_batch(std::span<const Query> queries) {
-  // The transport-agnostic fallback: run() per query, throws captured so
-  // every query behind a bad one still answers. Engine-backed hosts
-  // override this with Engine::run_batch (same outcomes, hoisted routing).
-  std::vector<BatchItem> out;
-  out.reserve(queries.size());
-  for (const Query& q : queries) {
-    BatchItem item;
-    util::Timer wall;
-    try {
-      item.result = run(q);
-    } catch (const std::invalid_argument& e) {
-      item.error = e.what();
-      item.invalid_argument = true;
-    } catch (const std::exception& e) {
-      item.error = e.what();
-    }
-    item.wall_seconds = wall.seconds();
-    out.push_back(std::move(item));
-  }
-  return out;
-}
-
 /// The framing state behind feed()/pump(). LineScanner
-/// lives in net/ next to its transports; it is implementation detail
+/// lives in net/ next to the server; it is implementation detail
 /// here, held behind this pimpl so protocol.hpp stays net-free.
 class Session::Framer {
  public:
@@ -501,7 +478,7 @@ void Session::dispatch_control(const ParsedRequest& req) {
     return;
   }
   if (req.metrics) {
-    // Not counted in answered(): the transports' queries_answered counter
+    // Not counted in answered(): net::Server's queries_answered counter
     // and the session histograms track engine queries, not scrapes.
     emit("ok\tmetrics\t" + obs::Registry::global().tab_text());
     return;
@@ -595,8 +572,8 @@ std::size_t Session::pump(std::size_t max_requests) {
     if (req.ignored) continue;
     if (req.query) {
       // Consecutive plain queries batch up and execute together through
-      // SessionHost::run_batch when the turn ends (or a control frame /
-      // the fairness bound cuts the batch).
+      // SessionHost::run_batch when the pump ends (or a control frame /
+      // the max_requests bound cuts the batch).
       batch_.push_back({std::move(*req.query), req.report_time, {}});
       // Only the slow-query log reads the request text; otherwise line_
       // keeps its buffer for the next frame.
@@ -616,8 +593,6 @@ namespace {
 class EngineSessionHost final : public SessionHost {
  public:
   explicit EngineSessionHost(const Engine& engine) : engine_(engine) {}
-
-  QueryResult run(const Query& q) override { return engine_.run(q); }
 
   std::vector<BatchItem> run_batch(std::span<const Query> queries) override {
     return engine_.run_batch(queries);

@@ -149,17 +149,12 @@ class SessionHost {
  public:
   virtual ~SessionHost() = default;
 
-  /// Execute one query (Engine::run semantics, including its throws).
-  [[nodiscard]] virtual QueryResult run(const Query& q) = 0;
-
   /// Execute a pipelined batch in request order, capturing each query's
-  /// outcome — the result or the error run() would have thrown — so one
-  /// bad query never eats the replies behind it. The base implementation
-  /// loops run(); engine-backed hosts forward to Engine::run_batch (which
-  /// hoists the substrate route of consecutive same-route pair/lp
-  /// queries), and the live host pins ONE generation for the whole batch.
-  /// Replies MUST be bit-identical to per-query run().
-  [[nodiscard]] virtual std::vector<BatchItem> run_batch(std::span<const Query> queries);
+  /// outcome — the result or the error Engine::run would have thrown — so
+  /// one bad query never eats the replies behind it. Both hosts forward to
+  /// Engine::run_batch; the live host pins ONE generation for the whole
+  /// batch. Replies MUST be bit-identical to per-query Engine::run.
+  [[nodiscard]] virtual std::vector<BatchItem> run_batch(std::span<const Query> queries) = 0;
 
   /// Answer one live request with a complete reply line ("ok\t...").
   /// Hosts that do not accept live updates throw std::runtime_error (the
@@ -168,10 +163,10 @@ class SessionHost {
 };
 
 /// A session host over a static Engine: queries run directly, update/epoch
-/// verbs answer an err line naming --live. Transports create one host per
+/// verbs answer an err line naming --live. Drivers create one host per
 /// session through this factory (and its LiveEngine counterpart in
-/// engine/generation.hpp), so adding a transport never grows a ctor
-/// matrix over engine flavors again.
+/// engine/generation.hpp), so no driver grows a ctor matrix over engine
+/// flavors.
 [[nodiscard]] std::unique_ptr<SessionHost> make_session_host(const Engine& engine);
 
 /// The buffer-oriented session state machine — the one way into the
@@ -179,22 +174,19 @@ class SessionHost {
 /// come out through output(); the session neither reads nor writes any
 /// I/O itself. Every driver is the same loop around it — feed what was
 /// read, pump, write output() — whether the bytes come from a blocking
-/// socket (the threads transport), nonblocking reads drained through
-/// writev (the epoll reactor) or a std::istream (serve_session below).
+/// socket (net::Server) or a std::istream (serve_session below).
 ///
 /// Pipelining falls out of the split: feed() may deliver any number of
 /// newline-framed requests in one call (or a fraction of one), and pump()
-/// answers every complete buffered request — consecutive plain queries are
-/// executed through SessionHost::run_batch as ONE batch — appending all
-/// replies to output() in request order. A transport that drains output()
-/// once per pump() therefore answers N pipelined requests with one
-/// gathered write. `max_requests` bounds one pump() call (reactor
-/// fairness: a pipelining hog yields the worker between turns).
+/// answers up to `max_requests` complete buffered requests — consecutive
+/// plain queries are executed through SessionHost::run_batch as ONE batch
+/// — appending their replies to output() in request order. net::Server
+/// passes pump(1) and writes after each call, so each reply leaves as it
+/// is computed, before the later requests of a pipelined burst run.
 ///
 /// Framing, error behavior (err line + keep serving), per-session obs
 /// metrics, and reply bytes are therefore identical across drivers. Not
-/// thread-safe: one session is driven by one thread at a time (the
-/// reactor's run-queue handoff guarantees this).
+/// thread-safe: one session is driven by one thread.
 class Session {
  public:
   /// The host must outlive the session. Destruction records the
@@ -216,19 +208,19 @@ class Session {
   void feed_eof() noexcept;
   /// Answer up to `max_requests` complete buffered requests, appending
   /// replies to output(). Returns the number of frames consumed (answered
-  /// queries, err replies, and ignored comment/blank lines alike — the
-  /// bound is a bound on work per scheduling turn). Stops early at quit.
+  /// queries, err replies, and ignored comment/blank lines alike). Stops
+  /// early at quit.
   std::size_t pump(std::size_t max_requests = static_cast<std::size_t>(-1));
   /// True once the session is over (quit answered, or EOF fully drained):
-  /// no further input will be consumed. The transport closes after also
+  /// no further input will be consumed. The driver closes after also
   /// draining output().
   [[nodiscard]] bool done() const noexcept { return done_; }
   /// Pending reply bytes, every reply newline-terminated, in request
-  /// order. The transport owns draining: write what it can and erase the
+  /// order. The driver owns draining: write what it can and erase the
   /// written prefix (or move the whole string out and clear).
   [[nodiscard]] std::string& output() noexcept { return out_; }
   /// Successfully answered queries so far (err replies, metrics scrapes,
-  /// and live verbs not counted) — the transport's queries_answered.
+  /// and live verbs not counted) — net::Server's queries_answered.
   [[nodiscard]] std::size_t answered() const noexcept { return answered_; }
 
  private:
@@ -260,7 +252,7 @@ class Session {
 /// answer exactly one reply line per non-ignored request, flushing after
 /// each. Malformed frames and engine errors become "err" replies and the
 /// session keeps serving. Lines are unbounded (the stream is a trusted
-/// local pipe; socket transports bound theirs through
+/// local pipe; net::Server bounds its sockets' lines through
 /// net::ServeOptions::max_line_bytes). Pass `*make_session_host(engine)`
 /// for a static or a live engine. Returns the number of successfully
 /// answered queries (live verbs and metrics scrapes are not counted).

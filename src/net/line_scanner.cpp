@@ -21,8 +21,7 @@ LineScanner::Next LineScanner::next(std::string& line) {
   if (discarding_) {
     // Resync after an already-reported overlong frame: drop everything up
     // to and including its newline. This state survives arbitrarily many
-    // feeds — a nonblocking transport may deliver the tail a byte at a
-    // time.
+    // feeds — a socket may deliver the tail a byte at a time.
     const std::size_t nl = buf_.find('\n', pos_);
     if (nl == std::string::npos) {
       buf_.clear();

@@ -1,17 +1,16 @@
 // Incremental newline framing over a byte buffer, with a bounded line
-// length — the socket-independent core of the serve transports' framing.
+// length — the socket-independent core of the serving layer's framing.
 //
 // A TCP stream delivers frames in arbitrary pieces: a request may arrive
 // split across reads ("sta" then "ts\n"), many-per-read ("tc\nstats\n"),
 // or one byte at a time. LineScanner reassembles exactly one frame per
-// next() call from whatever feed() has buffered so far, and — crucially
-// for nonblocking transports — keeps ALL of its state across feeds,
-// including the overlong-frame resync below. It is the framing inside
-// engine::Session, which every driver feeds (the threads transport, the
-// epoll reactor and the stream driver alike), so bounded framing behaves
-// identically on every transport.
+// next() call from whatever feed() has buffered so far, and keeps ALL of
+// its state across feeds, including the overlong-frame resync below. It
+// is the framing inside engine::Session, which every driver feeds (the
+// TCP server and the stream driver alike), so bounded framing behaves
+// identically on every driver.
 //
-// The length bound is the transport's only defense against a client that
+// The length bound is the server's only defense against a client that
 // streams bytes without ever sending a newline: instead of growing the
 // buffer without limit, the scanner reports kOverlong ONCE the moment the
 // bound is exceeded (or when an already-complete line turns out too long)
@@ -35,7 +34,7 @@ class LineScanner {
     kNeedMore,  ///< no complete frame buffered — feed() more bytes
   };
 
-  /// `max_line_bytes` == 0 means unbounded (trusted local transports).
+  /// `max_line_bytes` == 0 means unbounded (trusted local streams).
   explicit LineScanner(std::size_t max_line_bytes = 0) noexcept
       : max_line_(max_line_bytes) {}
 

@@ -27,7 +27,7 @@ void set_cloexec(int fd) { ::fcntl(fd, F_SETFD, FD_CLOEXEC); }
 }  // namespace
 
 Server::Server(const ServeOptions& opts)
-    : opts_(opts), listener_(opts.port, opts.backlog) {
+    : opts_(opts), listener_(opts.port) {
   if ((opts_.engine != nullptr) == (opts_.live != nullptr)) {
     throw std::runtime_error(
         "Server: exactly one of ServeOptions::engine / ::live must be set");

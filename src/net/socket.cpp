@@ -32,12 +32,12 @@ constexpr int kSendFlags = MSG_NOSIGNAL;
 constexpr int kSendFlags = 0;
 #endif
 
-// The serve protocol is write-write-read: a pipelined burst crossing the
-// fairness bound answers in several sendmsg/write calls with no request
-// bytes flowing back in between, and Nagle holding the second small
-// segment until the peer's delayed ACK turns a microsecond turn into a
-// ~40ms stall. Sessions are interactive RPC — disable Nagle on both ends.
-// Best effort: a non-TCP fd (e.g. a test socketpair) just ignores it.
+// The serve protocol is write-write-read: a pipelined burst answers in one
+// write per reply with no request bytes flowing back in between, and
+// Nagle holding the second small segment until the peer's delayed ACK
+// turns a microsecond reply into a ~40ms stall. Sessions are interactive
+// RPC — disable Nagle on both ends. Best effort: a non-TCP fd (e.g. a test
+// socketpair) just ignores it.
 void set_nodelay(int fd) noexcept {
   const int one = 1;
   (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);

@@ -4,15 +4,14 @@
 // libstdc++'s std::mutex / std::lock_guard carry no capability attributes,
 // so `GUARDED_BY(some_std_mutex)` checks nothing. These thin wrappers are
 // the project's lockable types: every mutex-protected structure
-// (LiveEngine's writer/slot state, the transports' run-queue and session
-// tables, obs::Registry's instrument list) declares a util::Mutex and
+// (LiveEngine's writer/slot state, net::Server's session table,
+// obs::Registry's instrument list) declares a util::Mutex and
 // annotates the fields it guards, and the CI Clang leg compiles src/ with
 // -Wthread-safety -Werror so an unguarded access is a build break.
 // Zero-cost: both types compile to exactly the std::mutex /
 // std::lock_guard code they wrap.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #include "util/thread_annotations.hpp"
@@ -33,7 +32,6 @@ class CAPABILITY("mutex") Mutex {
   [[nodiscard]] bool try_lock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
-  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -50,31 +48,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Condition variable usable with util::Mutex. wait() REQUIRES the mutex
-/// — the analysis checks the caller holds it — and internally adopts the
-/// already-held native handle so the std wait/relock machinery runs
-/// unannotated (the lock state on return is the same as on entry, which
-/// is exactly what the analysis assumes).
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  template <typename Predicate>
-  void wait(Mutex& mu, Predicate pred) REQUIRES(mu) {
-    std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
-    cv_.wait(native, std::move(pred));
-    native.release();  // still held; MutexLock/caller owns the unlock
-  }
-
-  void notify_one() noexcept { cv_.notify_one(); }
-  void notify_all() noexcept { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace probgraph::util

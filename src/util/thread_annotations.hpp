@@ -1,8 +1,8 @@
 // Clang thread-safety-analysis attribute macros.
 //
 // These turn the prose concurrency contracts (engine.hpp "Thread safety",
-// the QSBR protocol in engine/generation.hpp, the reactor's one-mutex
-// state machine in net/reactor.hpp, obs::Registry's creation lock) into
+// the QSBR protocol in engine/generation.hpp, net::Server's session table,
+// obs::Registry's creation lock) into
 // machine-checked invariants: under Clang with -Wthread-safety (the CI
 // `clang-thread-safety` job compiles all of src/ with -Werror), reading a
 // GUARDED_BY field without its mutex, calling a REQUIRES function

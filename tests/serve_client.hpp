@@ -1,4 +1,4 @@
-// Blocking test clients for the serve transports: a reply reader for
+// Blocking test clients for net::Server: a reply reader for
 // ping-pong tests and a scripted session that sends a whole script and
 // reads the transcript, both over plain net::Socket reads.
 #pragma once

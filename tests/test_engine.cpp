@@ -490,6 +490,11 @@ TEST(EngineMultiSubstrate, InMemoryEngineRejectsMismatchedKind) {
     const std::string what = err.what();
     EXPECT_NE(what.find("KMV/dag"), std::string::npos) << what;
     EXPECT_NE(what.find("BF/sym, BF/dag"), std::string::npos) << what;
+    // No `pgtool build` flag can change an Engine built in code: the
+    // advice names the in-code remedy instead.
+    EXPECT_EQ(what.find("--kinds"), std::string::npos) << what;
+    EXPECT_EQ(what.find("--orient"), std::string::npos) << what;
+    EXPECT_NE(what.find("build the Engine with KMV sketches"), std::string::npos) << what;
   }
 }
 
@@ -697,13 +702,11 @@ TEST(Protocol, FormatReplyShapes) {
 }
 
 TEST(EngineBatch, RunBatchIsBitIdenticalToPerQueryRun) {
-  // The pipelined-batch contract: run_batch may hoist the substrate route
-  // of consecutive same-route pair/lp queries, but every captured outcome
-  // — result bytes, error text, error kind — must equal what a per-query
-  // run() sequence produces. The mix below exercises every grouping edge:
-  // a same-route run (pair, pair, lp), an invalid query inside it, a
-  // run-breaking scalar query, an explicit kind= run, and an exact query
-  // (never grouped).
+  // The pipelined-batch contract: every captured outcome of run_batch —
+  // result bytes, error text, error kind — must equal what a per-query
+  // run() sequence produces. The mix below interleaves neighborhood
+  // queries on the primary route (pair, pair, lp), an invalid query among
+  // them, a scalar query, explicit kind= routes, and an exact query.
   engine::Engine e = engine::Engine::from_snapshot(data_path("golden_v2.pgs"));
   const char* lines[] = {
       "pair intersection 0 1",

@@ -13,6 +13,7 @@
 #include <array>
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -27,8 +28,8 @@
 #include "graph/io.hpp"
 #include "io/snapshot.hpp"
 #include "live/delta.hpp"
+#include "net/server.hpp"
 #include "net/socket.hpp"
-#include "net/transport.hpp"
 #include "serve_client.hpp"
 #include "util/threading.hpp"
 
@@ -111,12 +112,10 @@ std::string cold_transcript(const std::vector<Edge>& edges, VertexId n,
 /// One live server over a fresh golden snapshot, run()ning on a background
 /// thread for the duration of a test.
 struct LiveServerFixture {
-  explicit LiveServerFixture(
-      net::TransportKind kind = net::TransportKind::kThreads)
-      : snap_path(".pgs"), live(build_snapshot(snap_path.str())) {
+  LiveServerFixture() : snap_path(".pgs"), live(build_snapshot(snap_path.str())) {
     net::ServeOptions opts;
     opts.live = &live;
-    server = net::make_transport(kind, opts);
+    server = std::make_unique<net::Server>(opts);
     thread = std::thread([this] { server->run(); });
   }
 
@@ -136,7 +135,7 @@ struct LiveServerFixture {
 
   TempPath snap_path;
   engine::LiveEngine live;
-  std::unique_ptr<net::Transport> server;
+  std::unique_ptr<net::Server> server;
   std::thread thread;
 };
 
@@ -188,13 +187,13 @@ TEST(LiveServe, UpdateVerbsStageAndSealOverTheWire) {
             cold_transcript(edit_edges(golden_edges(), batch), 32, script));
 }
 
-TEST(LiveServe, UpdateVerbsStageAndSealOverTheEpollTransport) {
-  // The same stage → seal → query flow over the reactor, with the whole
-  // session PIPELINED into one segment: the epoll transport must accept
-  // the live verbs, order them against the queries, and answer the final
-  // multi-kind script byte-identical to the cold build — exactly like the
-  // thread-per-connection transport above.
-  LiveServerFixture f(net::TransportKind::kEpoll);
+TEST(LiveServe, PipelinedUpdateFlowInOneSegmentAnswersInOrder) {
+  // The same stage → seal → query flow with the whole session PIPELINED
+  // into one segment: the server must accept the live verbs, answer them
+  // in request order, and serve the final multi-kind script
+  // byte-identical to the cold build — exactly like the ping-pong flow
+  // above.
+  LiveServerFixture f;
 
   const std::string flow =
       "epoch\nupdate insert 0 9 3 17\nupdate delete 0 1\nupdate seal\n"
@@ -235,12 +234,12 @@ TEST(LiveServe, StaticServerRejectsUpdateVerbs) {
   engine::Engine eng = engine::Engine::from_snapshot(data_path("golden.pgs"));
   net::ServeOptions opts;
   opts.engine = &eng;
-  auto server = net::make_transport(net::TransportKind::kThreads, opts);
-  std::thread runner([&] { server->run(); });
+  net::Server server(opts);
+  std::thread runner([&] { server.run(); });
 
   const std::string transcript = run_scripted_session(
-      server->port(), "update insert 0 9\nepoch\nstats\nquit\n");
-  server->request_stop();
+      server.port(), "update insert 0 9\nepoch\nstats\nquit\n");
+  server.request_stop();
   runner.join();
 
   std::istringstream lines(transcript);

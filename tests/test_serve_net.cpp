@@ -1,12 +1,9 @@
 // The concurrent TCP serving layer (src/net/) over a loopback socket.
 //
-// Everything here runs a real net::Transport over the golden snapshot's
+// Everything here runs a real net::Server over the golden snapshot's
 // Engine — one shared read-only mapping — and drives it through real
 // sockets, covering what the typed tests cannot:
 //
-//   * transport parity: every protocol-behavior test below is
-//     value-parameterized over BOTH transports (thread-per-connection and
-//     the epoll reactor) — same scripts, byte-identical transcripts;
 //   * concurrency: N scripted sessions at once, each transcript
 //     byte-identical to tests/data/serve_session.expected (this is also
 //     the workload the ThreadSanitizer CI job runs);
@@ -15,16 +12,15 @@
 //     not disconnect), pipelined bursts coalesced into single segments,
 //     abrupt client disconnects mid-session — including with a half-
 //     flushed output buffer — and --max-conns capacity rejection;
-//   * reactor scheduling: the per-turn fairness bound (observable through
-//     the probgraph_reactor_turns_total counter) and a pipelining hog
-//     sharing a single worker with a victim session;
+//   * isolation: a pipelining hog that reads nothing does not hold up a
+//     victim session;
 //   * lifecycle: quit ends one session and not the server; request_stop()
 //     unblocks parked sessions and run() joins them all.
 //
 // Replies are bitwise deterministic only at one OpenMP thread (the
 // double-reduction kernels use dynamic scheduling), so like
 // tests/test_engine.cpp the suite pins util::set_threads(1).
-#include "net/transport.hpp"
+#include "net/server.hpp"
 
 #include <gtest/gtest.h>
 
@@ -67,13 +63,13 @@ std::string read_file(const std::string& path) {
   return buf.str();
 }
 
-/// One transport over one snapshot-backed Engine, run()ning on a
-/// background thread for the duration of a test.
+/// One server over one snapshot-backed Engine, run()ning on a background
+/// thread for the duration of a test.
 struct ServerFixture {
-  explicit ServerFixture(net::TransportKind kind, net::ServeOptions opts = {})
+  explicit ServerFixture(net::ServeOptions opts = {})
       : engine(engine::Engine::from_snapshot(data_path("golden.pgs"))) {
     opts.engine = &engine;
-    server = net::make_transport(kind, opts);
+    server = std::make_unique<net::Server>(opts);
     thread = std::thread([this] { server->run(); });
   }
 
@@ -83,7 +79,7 @@ struct ServerFixture {
   }
 
   engine::Engine engine;
-  std::unique_ptr<net::Transport> server;
+  std::unique_ptr<net::Server> server;
   std::thread thread;
 };
 
@@ -92,18 +88,8 @@ std::uint64_t counter_value(const char* name, const obs::Labels& labels = {}) {
   return c == nullptr ? 0 : c->value();
 }
 
-/// Every protocol-behavior test runs against BOTH transports.
-class ServeTransport : public ::testing::TestWithParam<net::TransportKind> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Transports, ServeTransport,
-    ::testing::Values(net::TransportKind::kThreads, net::TransportKind::kEpoll),
-    [](const ::testing::TestParamInfo<net::TransportKind>& info) {
-      return std::string(net::transport_kind_name(info.param));
-    });
-
-TEST_P(ServeTransport, ScriptedSessionMatchesGoldenTranscript) {
-  ServerFixture f(GetParam());
+TEST(ServeNet, ScriptedSessionMatchesGoldenTranscript) {
+  ServerFixture f;
   const std::string transcript = run_scripted_session(
       f.server->port(), read_file(data_path("serve_session.txt")));
   EXPECT_EQ(transcript, read_file(data_path("serve_session.expected")));
@@ -116,10 +102,10 @@ TEST_P(ServeTransport, ScriptedSessionMatchesGoldenTranscript) {
   EXPECT_EQ(c.queries_answered, 12u);
 }
 
-TEST_P(ServeTransport, FourConcurrentSessionsOverOneMappingAreByteIdentical) {
+TEST(ServeNet, FourConcurrentSessionsOverOneMappingAreByteIdentical) {
   // The acceptance workload (and the TSan job's): 4 sessions against ONE
   // shared Engine/mapping, every transcript byte-for-byte the golden one.
-  ServerFixture f(GetParam());
+  ServerFixture f;
   const std::string script = read_file(data_path("serve_session.txt"));
   const std::string expected = read_file(data_path("serve_session.expected"));
 
@@ -142,7 +128,7 @@ TEST_P(ServeTransport, FourConcurrentSessionsOverOneMappingAreByteIdentical) {
   }
 }
 
-TEST_P(ServeTransport, ConcurrentSessionsHitDifferentSubstratesOfOneMapping) {
+TEST(ServeNet, ConcurrentSessionsHitDifferentSubstratesOfOneMapping) {
   // The multi-substrate acceptance workload: ONE server over the v2
   // golden snapshot (BF/sym + BF/dag + KMV/sym + KMV/dag), half the
   // clients driving DAG-substrate counting scripts and half driving
@@ -152,8 +138,8 @@ TEST_P(ServeTransport, ConcurrentSessionsHitDifferentSubstratesOfOneMapping) {
   engine::Engine eng = engine::Engine::from_snapshot(data_path("golden_v2.pgs"));
   net::ServeOptions opts;
   opts.engine = &eng;
-  auto server = net::make_transport(GetParam(), opts);
-  std::thread runner([&] { server->run(); });
+  net::Server server(opts);
+  std::thread runner([&] { server.run(); });
 
   const std::string scripts[2] = {read_file(data_path("serve_multi_tc.txt")),
                                   read_file(data_path("serve_multi_pair.txt"))};
@@ -168,12 +154,12 @@ TEST_P(ServeTransport, ConcurrentSessionsHitDifferentSubstratesOfOneMapping) {
     for (int i = 0; i < kClients; ++i) {
       clients.emplace_back([&, i] {
         transcripts[static_cast<std::size_t>(i)] =
-            run_scripted_session(server->port(), scripts[i % 2]);
+            run_scripted_session(server.port(), scripts[i % 2]);
       });
     }
     for (auto& t : clients) t.join();
   }
-  server->request_stop();
+  server.request_stop();
   runner.join();
 
   for (int i = 0; i < kClients; ++i) {
@@ -182,15 +168,15 @@ TEST_P(ServeTransport, ConcurrentSessionsHitDifferentSubstratesOfOneMapping) {
   }
 }
 
-TEST_P(ServeTransport, InMemoryEngineServesIdenticalTranscriptsAcrossSessions) {
+TEST(ServeNet, InMemoryEngineServesIdenticalTranscriptsAcrossSessions) {
   // An IN-MEMORY engine (its sketches built in the constructor, over both
   // orientations) shared by concurrent sessions: every session's tc, 4cc,
   // cc and stats replies must be the same bytes, like a mapped engine's.
   const engine::Engine eng(io::read_edge_list(data_path("golden.el")));
   net::ServeOptions opts;
   opts.engine = &eng;
-  auto server = net::make_transport(GetParam(), opts);
-  std::thread runner([&] { server->run(); });
+  net::Server server(opts);
+  std::thread runner([&] { server.run(); });
 
   const std::string script = "tc\n4cc\ncc\nstats\nquit\n";
   constexpr int kClients = 4;
@@ -201,12 +187,12 @@ TEST_P(ServeTransport, InMemoryEngineServesIdenticalTranscriptsAcrossSessions) {
     for (int i = 0; i < kClients; ++i) {
       clients.emplace_back([&, i] {
         transcripts[static_cast<std::size_t>(i)] =
-            run_scripted_session(server->port(), script);
+            run_scripted_session(server.port(), script);
       });
     }
     for (auto& t : clients) t.join();
   }
-  server->request_stop();
+  server.request_stop();
   runner.join();
 
   EXPECT_EQ(transcripts[0].rfind("ok\ttc\t", 0), 0u) << transcripts[0];
@@ -216,8 +202,8 @@ TEST_P(ServeTransport, InMemoryEngineServesIdenticalTranscriptsAcrossSessions) {
   }
 }
 
-TEST_P(ServeTransport, PartialWritesAndCrlfFramesParse) {
-  ServerFixture f(GetParam());
+TEST(ServeNet, PartialWritesAndCrlfFramesParse) {
+  ServerFixture f;
   net::Socket sock = net::connect_to("127.0.0.1", f.server->port());
   ReplyReader reader(sock);
 
@@ -237,11 +223,11 @@ TEST_P(ServeTransport, PartialWritesAndCrlfFramesParse) {
   EXPECT_EQ(read_reply_line(reader), "bye");
 }
 
-TEST_P(ServeTransport, OneByteSegmentsReassembleToTheGoldenTranscript) {
+TEST(ServeNet, OneByteSegmentsReassembleToTheGoldenTranscript) {
   // The fragmentation torture: the whole golden script delivered one byte
   // per write — every request is split mid-token many times over, and the
-  // nonblocking framer must carry state across arbitrarily small reads.
-  ServerFixture f(GetParam());
+  // framer must carry state across arbitrarily small reads.
+  ServerFixture f;
   const std::string script = read_file(data_path("serve_session.txt"));
   net::Socket sock = net::connect_to("127.0.0.1", f.server->port());
   for (const char byte : script) {
@@ -251,11 +237,11 @@ TEST_P(ServeTransport, OneByteSegmentsReassembleToTheGoldenTranscript) {
   EXPECT_EQ(drain(sock), read_file(data_path("serve_session.expected")));
 }
 
-TEST_P(ServeTransport, FinalRequestWithoutNewlineIsAnsweredAtEof) {
+TEST(ServeNet, FinalRequestWithoutNewlineIsAnsweredAtEof) {
   // A client that half-closes right after an unterminated last request
   // still gets its reply: EOF ends that frame, like std::getline, and the
   // server then closes the connection.
-  ServerFixture f(GetParam());
+  ServerFixture f;
   net::Socket sock = net::connect_to("127.0.0.1", f.server->port());
   ASSERT_TRUE(sock.write_all("stats\ntc"));
   sock.shutdown_write();
@@ -276,12 +262,12 @@ TEST_P(ServeTransport, FinalRequestWithoutNewlineIsAnsweredAtEof) {
   EXPECT_EQ(out.str(), stats + "\n" + tc + "\n");
 }
 
-TEST_P(ServeTransport, PipelinedBurstAnswersEveryReplyInOrder) {
+TEST(ServeNet, PipelinedBurstAnswersEveryReplyInOrder) {
   // 64 identical queries coalesced into one segment (one write, one likely
   // recv) must come back as exactly 64 replies in order — the pipelined
   // batch runs through SessionHost::run_batch and must be bit-identical
   // to 64 ping-pong round trips.
-  ServerFixture f(GetParam());
+  ServerFixture f;
   const std::string one =
       run_scripted_session(f.server->port(), "pair intersection 0 1\nquit\n");
   const std::string reply = one.substr(0, one.find("bye\n"));
@@ -299,16 +285,15 @@ TEST_P(ServeTransport, PipelinedBurstAnswersEveryReplyInOrder) {
   EXPECT_EQ(run_scripted_session(f.server->port(), script), expected);
 }
 
-TEST_P(ServeTransport, OversizedLineAnswersErrAndSessionRecovers) {
+TEST(ServeNet, OversizedLineAnswersErrAndSessionRecovers) {
   net::ServeOptions opts;
   opts.max_line_bytes = 128;
-  ServerFixture f(GetParam(), opts);
+  ServerFixture f(opts);
   net::Socket sock = net::connect_to("127.0.0.1", f.server->port());
   ReplyReader reader(sock);
 
   // A 4 KiB frame against a 128-byte bound: one err reply, then the
-  // session keeps serving from the next line boundary — malformed frames
-  // are uniform across transports (err + continue, never a drop).
+  // session keeps serving from the next line boundary (never a drop).
   std::string garbage(4096, 'x');
   garbage += '\n';
   ASSERT_TRUE(sock.write_all(garbage));
@@ -321,14 +306,14 @@ TEST_P(ServeTransport, OversizedLineAnswersErrAndSessionRecovers) {
   EXPECT_EQ(read_reply_line(reader), "bye");
 }
 
-TEST_P(ServeTransport, InterleavedOverlongFramesEachAnswerOnceAndResync) {
+TEST(ServeNet, InterleavedOverlongFramesEachAnswerOnceAndResync) {
   // Overlong frames interleaved with valid requests in ONE pipelined
   // segment: each oversized frame answers exactly one err line and the
   // frames behind it still answer — the resync state must survive the
-  // burst no matter how the transport fragments its reads.
+  // burst no matter how the server's reads fragment it.
   net::ServeOptions opts;
   opts.max_line_bytes = 128;
-  ServerFixture f(GetParam(), opts);
+  ServerFixture f(opts);
 
   std::string script;
   script += std::string(300, 'a') + "\n";
@@ -356,8 +341,8 @@ TEST_P(ServeTransport, InterleavedOverlongFramesEachAnswerOnceAndResync) {
   EXPECT_FALSE(std::getline(lines, line)) << "unexpected trailing reply: " << line;
 }
 
-TEST_P(ServeTransport, AbruptDisconnectMidSessionLeavesServerServing) {
-  ServerFixture f(GetParam());
+TEST(ServeNet, AbruptDisconnectMidSessionLeavesServerServing) {
+  ServerFixture f;
   {
     // Fire a scan query and vanish without reading the reply: the server's
     // write hits a dead peer (EPIPE/RST) and must end that session only.
@@ -371,12 +356,12 @@ TEST_P(ServeTransport, AbruptDisconnectMidSessionLeavesServerServing) {
   EXPECT_EQ(transcript, read_file(data_path("serve_session.expected")));
 }
 
-TEST_P(ServeTransport, DisconnectWithHalfFlushedOutputBufferIsContained) {
+TEST(ServeNet, DisconnectWithHalfFlushedOutputBufferIsContained) {
   // A deep pipeline whose replies overflow the kernel buffers (the client
-  // never reads), then an abrupt close: the transport is mid-flush with a
+  // never reads), then an abrupt close: the server is mid-flush with a
   // backlogged output buffer when the peer dies. The failure must be
   // contained to that session — and the server must keep serving.
-  ServerFixture f(GetParam());
+  ServerFixture f;
   {
     net::Socket rude = net::connect_to("127.0.0.1", f.server->port());
     std::string script;
@@ -391,17 +376,17 @@ TEST_P(ServeTransport, DisconnectWithHalfFlushedOutputBufferIsContained) {
   EXPECT_EQ(transcript, read_file(data_path("serve_session.expected")));
 }
 
-TEST_P(ServeTransport, QuitEndsOneSessionNotTheServer) {
-  ServerFixture f(GetParam());
+TEST(ServeNet, QuitEndsOneSessionNotTheServer) {
+  ServerFixture f;
   EXPECT_EQ(run_scripted_session(f.server->port(), "quit\n"), "bye\n");
   EXPECT_EQ(run_scripted_session(f.server->port(), "stats\nquit\n").substr(0, 9),
             "ok\tstats\t");
 }
 
-TEST_P(ServeTransport, MaxConnsRejectsWithErrLineThenRecovers) {
+TEST(ServeNet, MaxConnsRejectsWithErrLineThenRecovers) {
   net::ServeOptions opts;
   opts.max_conns = 1;
-  ServerFixture f(GetParam(), opts);
+  ServerFixture f(opts);
 
   // Occupy the single slot and prove the session is live.
   net::Socket held = net::connect_to("127.0.0.1", f.server->port());
@@ -418,7 +403,7 @@ TEST_P(ServeTransport, MaxConnsRejectsWithErrLineThenRecovers) {
   }
 
   // Free the slot; the server accepts again (session teardown is
-  // asynchronous on both transports, so poll until the slot is back).
+  // asynchronous, so poll until the slot is back).
   ASSERT_TRUE(held.write_all("quit\n"));
   EXPECT_EQ(read_reply_line(held_reader), "bye");
   held.close();
@@ -437,32 +422,31 @@ TEST_P(ServeTransport, MaxConnsRejectsWithErrLineThenRecovers) {
   EXPECT_GE(f.server->counters().rejected, 1u);
 }
 
-TEST_P(ServeTransport, RequestStopUnblocksParkedSessions) {
+TEST(ServeNet, RequestStopUnblocksParkedSessions) {
   auto engine = engine::Engine::from_snapshot(data_path("golden.pgs"));
   net::ServeOptions opts;
   opts.engine = &engine;
-  auto server = net::make_transport(GetParam(), opts);
-  std::thread runner([&] { server->run(); });
+  net::Server server(opts);
+  std::thread runner([&] { server.run(); });
 
-  // A connected client that never sends anything more: its session is
-  // parked (a blocked read, or an armed-and-idle epoll entry).
-  // request_stop() must end it (the client sees EOF) and run() must
-  // join/drain everything.
-  net::Socket idle = net::connect_to("127.0.0.1", server->port());
+  // A connected client that never sends anything more: its session thread
+  // is parked in a blocking read. request_stop() must end it (the client
+  // sees EOF) and run() must join everything.
+  net::Socket idle = net::connect_to("127.0.0.1", server.port());
   ASSERT_TRUE(idle.write_all("stats\n"));
   char buf[512];
   ASSERT_GT(idle.read_some(buf, sizeof buf), 0);  // session is live & parked
 
-  server->request_stop();
+  server.request_stop();
   runner.join();
   EXPECT_EQ(drain(idle), "");  // EOF, promptly
-  const auto c = server->counters();
+  const auto c = server.counters();
   EXPECT_EQ(c.accepted, 1u);
   EXPECT_EQ(c.queries_answered, 1u);
 }
 
-TEST_P(ServeTransport, MetricsVerbAndTimeClauseWorkOverSockets) {
-  ServerFixture f(GetParam());
+TEST(ServeNet, MetricsVerbAndTimeClauseWorkOverSockets) {
+  ServerFixture f;
   net::Socket sock = net::connect_to("127.0.0.1", f.server->port());
   ReplyReader reader(sock);
 
@@ -493,49 +477,18 @@ TEST(ServeNet, EphemeralPortIsReportedAndDistinct) {
   auto engine = engine::Engine::from_snapshot(data_path("golden.pgs"));
   net::ServeOptions opts;
   opts.engine = &engine;
-  auto a = net::make_transport(net::TransportKind::kThreads, opts);
-  auto b = net::make_transport(net::TransportKind::kEpoll, opts);
-  EXPECT_NE(a->port(), 0);
-  EXPECT_NE(b->port(), 0);
-  EXPECT_NE(a->port(), b->port());
+  const net::Server a(opts);
+  const net::Server b(opts);
+  EXPECT_NE(a.port(), 0);
+  EXPECT_NE(b.port(), 0);
+  EXPECT_NE(a.port(), b.port());
 }
 
-// --- Reactor-specific scheduling behavior. ---
-
-TEST(ServeNetEpoll, FairnessBoundLimitsRequestsPerTurn) {
-  // 64 pipelined requests against a per-turn bound of 4 must take at
-  // least 64/4 scheduling turns: the reactor turns counter (delta-able,
-  // unlike a histogram max) proves a hog cannot drain its whole backlog
-  // in one turn.
-  net::ServeOptions opts;
-  opts.max_requests_per_turn = 4;
-  const std::uint64_t turns_before =
-      counter_value("probgraph_reactor_turns_total");
-
-  ServerFixture f(net::TransportKind::kEpoll, opts);
-  std::string script;
-  for (int i = 0; i < 64; ++i) script += "stats\n";
-  script += "quit\n";
-  const std::string transcript = run_scripted_session(f.server->port(), script);
-  EXPECT_EQ(transcript.rfind("ok\tstats\t", 0), 0u);
-  EXPECT_NE(transcript.find("bye\n"), std::string::npos);
-
-  f.server->request_stop();
-  f.thread.join();
-  const std::uint64_t turns =
-      counter_value("probgraph_reactor_turns_total") - turns_before;
-  EXPECT_GE(turns, 65u / 4u) << "a single turn drained more than the bound";
-  EXPECT_EQ(f.server->counters().queries_answered, 64u);
-}
-
-TEST(ServeNetEpoll, PipeliningHogSharesTheOnlyWorkerWithAVictim) {
-  // One worker, a tiny fairness bound, and a hog that pipelines a deep
-  // backlog WITHOUT reading replies: a victim session arriving mid-burst
-  // must still be answered (the hog re-queues at the tail every turn).
-  net::ServeOptions opts;
-  opts.workers = 1;
-  opts.max_requests_per_turn = 2;
-  ServerFixture f(net::TransportKind::kEpoll, opts);
+TEST(ServeNet, PipeliningHogDoesNotStallAVictimSession) {
+  // A hog that pipelines a deep backlog WITHOUT reading replies: a victim
+  // session arriving mid-burst must still be answered, because every
+  // session runs on its own thread.
+  ServerFixture f;
 
   net::Socket hog = net::connect_to("127.0.0.1", f.server->port());
   std::string burst;
@@ -580,7 +533,7 @@ TEST(ServeNet, MetricsScrapeRacesFourClientsWithoutPerturbingReplies) {
   // and the substrate-routing counters. This test also runs under the
   // TSan CI job: scrape-side shard merges racing writer sessions is
   // exactly the access pattern the relaxed-atomic design must keep clean.
-  ServerFixture f(net::TransportKind::kThreads);
+  ServerFixture f;
   obs::MetricsHttpServer scraper(/*port=*/0);
   std::thread scraper_thread([&] { scraper.run(); });
 
@@ -664,7 +617,7 @@ TEST(ServeNet, OverlongSocketFramesCountTheOverlongCause) {
 
   net::ServeOptions opts;
   opts.max_line_bytes = 128;
-  ServerFixture f(net::TransportKind::kThreads, opts);
+  ServerFixture f(opts);
   net::Socket sock = net::connect_to("127.0.0.1", f.server->port());
   ReplyReader reader(sock);
 

@@ -131,8 +131,8 @@
 #include "io/snapshot.hpp"
 #include "live/apply.hpp"
 #include "live/delta.hpp"
+#include "net/server.hpp"
 #include "net/socket.hpp"
-#include "net/transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_http.hpp"
 #include "util/threading.hpp"
@@ -171,7 +171,6 @@ enum : unsigned {
   kFInserts = 1u << 23,
   kFDeletes = 1u << 24,
   kFApplyLog = 1u << 25,
-  kFTransport = 1u << 26,
 };
 
 /// The sketch-construction flags shared by every command that may build or
@@ -213,7 +212,6 @@ constexpr FlagSpec kFlagSpecs[] = {
     {"--inserts", nullptr, kFInserts, true},
     {"--deletes", nullptr, kFDeletes, true},
     {"--apply-log", nullptr, kFApplyLog, true},
-    {"--transport", nullptr, kFTransport, true},
 };
 
 /// Which orientations `build` sketches (and packs into the snapshot).
@@ -228,7 +226,6 @@ struct Args {
   std::string output;    // .pgs output (build)
   std::optional<std::uint16_t> listen;  // serve: TCP port (0 = ephemeral)
   int max_conns = 16;                   // serve --listen: live-session cap
-  net::TransportKind transport = net::TransportKind::kThreads;  // serve --listen
   std::optional<std::uint16_t> metrics_port;  // serve: /metrics HTTP port
   double slow_ms = 0;                   // serve: slow-query log threshold
   bool live = false;                    // serve: accept update/epoch verbs
@@ -300,10 +297,9 @@ constexpr CommandSpec kCommands[] = {
      "update <file.pgs> -o <out.pgs> [--inserts FILE] [--deletes FILE] "
      "[--apply-log FILE.pgd] [--delta-log FILE.pgd]", run_update},
     {"serve",
-     kFThreads | kFListen | kFMaxConns | kFMetricsPort | kFSlowMs | kFLive |
-         kFDeltaLog | kFTransport,
+     kFThreads | kFListen | kFMaxConns | kFMetricsPort | kFSlowMs | kFLive | kFDeltaLog,
      true,
-     "serve <file.pgs> [--listen PORT [--max-conns N] [--transport threads|epoll]] "
+     "serve <file.pgs> [--listen PORT [--max-conns N]] "
      "[--metrics-port P] [--slow-ms N] [--live [--delta-log FILE.pgd]]", run_serve},
     {"client", 0, false, "client <host> <port>", run_client, true},
 };
@@ -331,11 +327,7 @@ void print_usage(std::FILE* to) {
                "'help' on the session for the request grammar) — over stdin, or as a\n"
                "concurrent TCP server with --listen PORT (127.0.0.1; PORT 0 picks an\n"
                "ephemeral port, printed on stderr; --max-conns caps live sessions;\n"
-               "SIGINT/SIGTERM stop it gracefully). --transport picks the serving\n"
-               "model: 'threads' (default) spends one blocking thread per connection,\n"
-               "'epoll' multiplexes every session over an event loop and a small\n"
-               "worker pool with pipelined request handling — replies are\n"
-               "byte-identical either way. client connects a scripted\n"
+               "SIGINT/SIGTERM stop it gracefully). client connects a scripted\n"
                "stdin/stdout session to such a server. serve --live additionally\n"
                "accepts the update/epoch verbs: sessions stage edge inserts/deletes\n"
                "and seal them as a new snapshot generation while queries keep being\n"
@@ -626,14 +618,6 @@ Args parse(int argc, char** argv) {
       case kFApplyLog:
         a.apply_log = value;
         break;
-      case kFTransport: {
-        const auto kind = net::parse_transport_kind(value);
-        if (!kind) {
-          fail("unknown transport '" + value + "' (expected threads or epoll)");
-        }
-        a.transport = *kind;
-        break;
-      }
       default: fail("unhandled flag " + token);  // unreachable
     }
   }
@@ -641,9 +625,6 @@ Args parse(int argc, char** argv) {
   // --- Per-command input validation. ---
   if ((seen & kFMaxConns) != 0 && !a.listen) {
     fail("--max-conns only applies with --listen");
-  }
-  if ((seen & kFTransport) != 0 && !a.listen) {
-    fail("--transport only applies with --listen");
   }
   if (a.command == "serve" && !a.delta_log.empty() && !a.live) {
     fail("--delta-log on serve requires --live");
@@ -992,12 +973,12 @@ int run_update(const Args& a) {
 // any thread once --listen sessions exist). A lock-free std::atomic gives
 // both; the handler's relaxed load is async-signal-safe precisely because
 // it is lock-free.
-std::atomic<net::Transport*> g_signal_server{nullptr};
-static_assert(std::atomic<net::Transport*>::is_always_lock_free,
+std::atomic<net::Server*> g_signal_server{nullptr};
+static_assert(std::atomic<net::Server*>::is_always_lock_free,
               "the signal handler requires a lock-free atomic pointer");
 
 extern "C" void stop_signal_handler(int) {
-  net::Transport* const s = g_signal_server.load(std::memory_order_relaxed);
+  net::Server* const s = g_signal_server.load(std::memory_order_relaxed);
   if (s != nullptr) s->request_stop();  // async-signal-safe (self-pipe write)
 }
 
@@ -1083,27 +1064,25 @@ int run_serve(const Args& a) {
   opts.port = *a.listen;
   opts.max_conns = a.max_conns;
   opts.session = session_opts;
-  const std::unique_ptr<net::Transport> server =
-      net::make_transport(a.transport, opts);
+  net::Server server(opts);
   std::fprintf(stderr,
                "pgtool serve: %s — n=%u, substrates [%s], mapped in %.4fs%s; listening "
-               "on 127.0.0.1:%u (%s transport, max %d concurrent sessions over one "
-               "mapping), SIGINT/SIGTERM to stop\n",
+               "on 127.0.0.1:%u (max %d concurrent sessions over one mapping), "
+               "SIGINT/SIGTERM to stop\n",
                a.input.c_str(), e.graph().num_vertices(),
                io::describe_substrates(info.substrates).c_str(), load_timer.seconds(),
-               live_note, static_cast<unsigned>(server->port()),
-               net::transport_kind_name(a.transport), a.max_conns);
+               live_note, static_cast<unsigned>(server.port()), a.max_conns);
 
   std::signal(SIGPIPE, SIG_IGN);  // a vanished client must not kill the server
-  g_signal_server.store(server.get());  // published (seq_cst) before the handlers exist
+  g_signal_server.store(&server);  // published (seq_cst) before the handlers exist
   std::signal(SIGINT, stop_signal_handler);
   std::signal(SIGTERM, stop_signal_handler);
-  server->run();
+  server.run();
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
   g_signal_server.store(nullptr);  // cleared only after the handlers are gone
 
-  const net::Transport::Counters c = server->counters();
+  const net::Server::Counters c = server.counters();
   std::fprintf(stderr,
                "pgtool serve: stopped — %llu session%s served, %llu rejected at "
                "capacity, %llu quer%s answered\n",
