@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/backends.hpp"
+#include "core/bloom_filter.hpp"
 #include "core/estimators.hpp"
 #include "core/intersect.hpp"
 #include "core/kernels/kernels.hpp"
@@ -44,6 +45,12 @@ namespace {
 template <typename Backend>
 double four_clique_bf(const CsrGraph& dag, const Backend be) {
   const VertexId n = dag.num_vertices();
+  // Per-sweep tables, freed on return: every vertex's bit positions and the
+  // AND estimate of every popcount, so the loops below neither hash nor call
+  // log1p. Same positions and doubles as the direct calls: bit-identical.
+  const BloomProbeTable probes(n, be.bits, be.hashes, be.family);
+  const std::vector<double> est =
+      est::bf_intersection_and_table(be.words_per_vertex, be.bits, be.hashes);
   double total = 0.0;
 #pragma omp parallel reduction(+ : total)
   {
@@ -52,14 +59,19 @@ double four_clique_bf(const CsrGraph& dag, const Backend be) {
     std::vector<std::uint64_t> counts;  // batched and3 popcounts over C3
 #pragma omp for schedule(dynamic, 32)
     for (std::int64_t u = 0; u < static_cast<std::int64_t>(n); ++u) {
-      const auto bf_u = be.bf(static_cast<VertexId>(u));
       const auto wu = be.words(static_cast<VertexId>(u));
       for (const VertexId v : dag.neighbors(static_cast<VertexId>(u))) {
         // Approximate C3 membership list: elements of N+v inside BF(N+u).
-        c3.clear();
-        for (const VertexId x : dag.neighbors(v)) {
-          if (bf_u.contains(x)) c3.push_back(x);
+        // Every x is written and the count advances only on a hit, so a
+        // hard-to-predict hit costs no branch.
+        const auto nv = dag.neighbors(v);
+        c3.resize(nv.size());
+        std::size_t hits = 0;
+        for (const VertexId x : nv) {
+          c3[hits] = x;
+          hits += probes.contains(wu, x);
         }
+        c3.resize(hits);
         if (c3.empty()) continue;
         // popcount(B_u & B_v & B_w) over all w ∈ C3 as one batched sweep:
         // the (u, v) AND is hoisted out of the w loop — it was recomputed
@@ -71,9 +83,7 @@ double four_clique_bf(const CsrGraph& dag, const Backend be) {
         counts.resize(c3.size());
         kernels::and_popcount_batch(uv, be.arena, be.words_per_vertex, c3,
                                     counts.data());
-        for (const std::uint64_t ones : counts) {
-          total += est::bf_intersection_and(ones, be.bits, be.hashes);
-        }
+        for (const std::uint64_t ones : counts) total += est[ones];
       }
     }
   }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/backends.hpp"
+#include "core/bloom_filter.hpp"
 #include "core/estimators.hpp"
 #include "core/intersect.hpp"
 #include "graph/orientation.hpp"
@@ -62,15 +63,13 @@ namespace {
 /// filtered), `and_words` the running bitwise AND of the chosen filters.
 /// Monomorphic in the bloom backend; the closing estimate is always the AND
 /// estimator (the chained popcount *is* the AND statistic — Limit/OR have
-/// no chained analogue).
+/// no chained analogue), read from `est` by popcount.
 template <typename Backend>
-double bf_rec(const Backend& be, std::span<const VertexId> cand,
-              std::span<const std::uint64_t> and_words, unsigned remaining,
-              std::vector<std::vector<VertexId>>& cand_scratch,
+double bf_rec(const Backend& be, const BloomProbeTable& probes, std::span<const double> est,
+              std::span<const VertexId> cand, std::span<const std::uint64_t> and_words,
+              unsigned remaining, std::vector<std::vector<VertexId>>& cand_scratch,
               std::vector<std::vector<std::uint64_t>>& word_scratch, unsigned depth) {
-  if (remaining == 0) {
-    return est::bf_intersection_and(util::popcount(and_words), be.bits, be.hashes);
-  }
+  if (remaining == 0) return est[util::popcount(and_words)];
   double total = 0.0;
   auto& next_cand = cand_scratch[depth];
   auto& next_words = word_scratch[depth];
@@ -81,13 +80,17 @@ double bf_rec(const Backend& be, std::span<const VertexId> cand,
     for (std::size_t i = 0; i < next_words.size(); ++i) next_words[i] &= wu[i];
     // Approximate candidate refinement via membership in the chain so far:
     // x stays iff its bits are set in the AND (i.e. x "in" every chosen BF).
-    const BloomFilterView chain(next_words, be.bits, be.hashes, be.family);
-    next_cand.clear();
+    // Every x is written and the count advances when it stays: no branch.
+    next_cand.resize(cand.size());
+    std::size_t kept = 0;
     for (const VertexId x : cand) {
-      if (x != u && chain.contains(x)) next_cand.push_back(x);
+      const bool in_chain = probes.contains(next_words, x);
+      next_cand[kept] = x;
+      kept += static_cast<std::size_t>(in_chain && x != u);
     }
+    next_cand.resize(kept);
     if (next_cand.empty() && remaining > 1) continue;
-    total += bf_rec(be, next_cand, next_words, remaining - 1, cand_scratch,
+    total += bf_rec(be, probes, est, next_cand, next_words, remaining - 1, cand_scratch,
                     word_scratch, depth + 1);
   }
   return total;
@@ -96,6 +99,11 @@ double bf_rec(const Backend& be, std::span<const VertexId> cand,
 template <typename Backend>
 double kclique_bf(const Backend be, const CsrGraph& dag, unsigned k) {
   const VertexId n = dag.num_vertices();
+  // Per-sweep tables, freed on return (see four_clique_bf): bit positions of
+  // every vertex and the AND estimate of every popcount.
+  const BloomProbeTable probes(n, be.bits, be.hashes, be.family);
+  const std::vector<double> est =
+      est::bf_intersection_and_table(be.words_per_vertex, be.bits, be.hashes);
   double total = 0.0;
 #pragma omp parallel reduction(+ : total)
   {
@@ -105,8 +113,8 @@ double kclique_bf(const Backend be, const CsrGraph& dag, unsigned k) {
     for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
       const auto nv = dag.neighbors(static_cast<VertexId>(v));
       if (nv.empty()) continue;
-      total += bf_rec(be, nv, be.words(static_cast<VertexId>(v)), k - 2, cand_scratch,
-                      word_scratch, 0);
+      total += bf_rec(be, probes, est, nv, be.words(static_cast<VertexId>(v)), k - 2,
+                      cand_scratch, word_scratch, 0);
     }
   }
   return total;

@@ -10,17 +10,29 @@
 //   * BloomFilterView  — a non-owning view into the ProbGraph arena, where
 //                        all n per-vertex filters share one allocation and
 //                        one width (the load-balancing property of Fig. 1
-//                        panel 5).
+//                        panel 5),
+//   * BloomProbeTable  — the bit positions of every vertex id, computed
+//                        once so that a sweep testing millions of
+//                        memberships loads them instead of re-hashing.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "util/bitvector.hpp"
 #include "util/hash.hpp"
 #include "util/types.hpp"
 
 namespace probgraph {
+
+/// Bit position h_i(x) mod B of element x under hash i in a filter of
+/// `bits` bits: the one definition every insert and membership test uses.
+[[nodiscard]] inline std::uint64_t bloom_position(const util::HashFamily& family,
+                                                  std::uint32_t i, std::uint64_t x,
+                                                  std::uint64_t bits) noexcept {
+  return family(i, x) % bits;
+}
 
 /// Non-owning Bloom filter over a word span inside a sketch arena.
 class BloomFilterView {
@@ -41,7 +53,7 @@ class BloomFilterView {
   /// Membership query: true iff all b bit positions for x are set.
   [[nodiscard]] bool contains(std::uint64_t x) const noexcept {
     for (std::uint32_t i = 0; i < num_hashes_; ++i) {
-      const std::uint64_t pos = family_(i, x) % bits_;
+      const std::uint64_t pos = bloom_position(family_, i, x, bits_);
       if (!((words_[pos / kWordBits] >> (pos % kWordBits)) & 1U)) return false;
     }
     return true;
@@ -63,6 +75,35 @@ class BloomFilterView {
   std::uint64_t bits_;
   std::uint32_t num_hashes_;
   util::HashFamily family_;
+};
+
+/// The b bit positions of every element x < n for one filter width and hash
+/// family, stored as 32-bit words (x * b + i holds bloom_position(family, i,
+/// x, bits)). A clique sweep builds one when it starts and tests every
+/// membership against it: b loads and bit tests, no hashing, no division.
+class BloomProbeTable {
+ public:
+  /// Computes the n * num_hashes positions in parallel. Throws
+  /// std::invalid_argument, before allocating, unless 0 < bits < 2^32.
+  BloomProbeTable(VertexId n, std::uint64_t bits, std::uint32_t num_hashes,
+                  util::HashFamily family);
+
+  /// Same answer as BloomFilterView::contains(x) for a filter `words` of this
+  /// width and family; all b bits are tested, so the caller can append on
+  /// the result without a branch.
+  [[nodiscard]] bool contains(std::span<const std::uint64_t> words,
+                              VertexId x) const noexcept {
+    const std::uint32_t* pos = positions_.data() + std::size_t{x} * num_hashes_;
+    std::uint64_t all = 1;
+    for (std::uint32_t i = 0; i < num_hashes_; ++i) {
+      all &= words[pos[i] / kWordBits] >> (pos[i] % kWordBits);
+    }
+    return (all & 1U) != 0;
+  }
+
+ private:
+  std::vector<std::uint32_t> positions_;
+  std::uint32_t num_hashes_;
 };
 
 /// Owning Bloom filter.

@@ -22,6 +22,13 @@ double bf_size_papapetrou(std::uint64_t ones, std::uint64_t bits, std::uint32_t 
   return std::log1p(-fill) / denom;
 }
 
+std::vector<double> bf_intersection_and_table(std::size_t words, std::uint64_t bits,
+                                              std::uint32_t b) {
+  std::vector<double> table(words * kWordBits + 1);
+  for (std::size_t k = 0; k < table.size(); ++k) table[k] = bf_intersection_and(k, bits, b);
+  return table;
+}
+
 double bf_intersection_or(double size_x, double size_y, std::uint64_t or_ones,
                           std::uint64_t bits, std::uint32_t b) noexcept {
   if (bits == 0 || b == 0) return 0.0;

@@ -15,7 +15,9 @@
 //   (KMV intersection lives in KmvSketch::estimate_intersection, Eq. (41))
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "core/bloom_filter.hpp"
 #include "core/minhash.hpp"
@@ -37,6 +39,14 @@ namespace probgraph::est {
                                                 std::uint32_t b) noexcept {
   return bf_size_swamidass(and_ones, bits, b);
 }
+
+/// bf_intersection_and(k, bits, b) for every popcount k that a row of
+/// `words` words can hold (0 … 64·words, which is 0 … B for every filter
+/// ProbGraph builds). A sweep that closes millions of AND estimates reads
+/// this table instead of calling log1p per estimate; the doubles are the same.
+[[nodiscard]] std::vector<double> bf_intersection_and_table(std::size_t words,
+                                                            std::uint64_t bits,
+                                                            std::uint32_t b);
 
 /// Eq. (4): the limiting estimator |X∩Y|_L = B_{X∩Y,1}/b.
 [[nodiscard]] inline double bf_intersection_limit(std::uint64_t and_ones,

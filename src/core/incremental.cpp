@@ -4,6 +4,7 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "core/bloom_filter.hpp"
 #include "util/arena_ref.hpp"
 #include "util/bitvector.hpp"
 
@@ -148,7 +149,7 @@ void SketchUpdater::apply_insert(VertexId v, VertexId x) {
       std::uint64_t* words =
           bf_.data() + static_cast<std::size_t>(v) * params_.bf_words_per_vertex;
       for (std::uint32_t i = 0; i < bf_hashes_; ++i) {
-        const std::uint64_t pos = family_(i, x) % params_.bf_bits;
+        const std::uint64_t pos = bloom_position(family_, i, x, params_.bf_bits);
         words[pos / kWordBits] |= (std::uint64_t{1} << (pos % kWordBits));
       }
       break;

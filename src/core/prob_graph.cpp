@@ -190,7 +190,7 @@ void ProbGraph::build_bloom() {
     std::uint64_t* words = arena + static_cast<std::size_t>(v) * bf_words_per_vertex_;
     for (const VertexId x : g.neighbors(static_cast<VertexId>(v))) {
       for (std::uint32_t i = 0; i < b; ++i) {
-        const std::uint64_t pos = family_(i, x) % bf_bits_;
+        const std::uint64_t pos = bloom_position(family_, i, x, bf_bits_);
         words[pos / kWordBits] |= (std::uint64_t{1} << (pos % kWordBits));
       }
     }

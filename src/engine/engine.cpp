@@ -198,11 +198,14 @@ Engine Engine::from_snapshot(const std::string& path) {
 
 const CsrGraph& Engine::symmetric_graph() const {
   if (const CsrGraph* g = snap_.graph_for(/*degree_oriented=*/false)) return *g;
+  // As in fail_routing: no `pgtool build` flag reaches an Engine built in code.
+  const bool built = snap_.info().version == 0;
   throw std::runtime_error(
       "snapshot sketches only the degree-oriented DAG (it serves " +
       io::describe_substrates(snap_.info().substrates) +
-      "); this query needs the symmetric graph (rebuild without --orient, or "
-      "with --orient both)");
+      "); this query needs the symmetric graph (" +
+      (built ? "build the Engine with the symmetric graph)"
+             : "rebuild without --orient, or with --orient both)"));
 }
 
 const CsrGraph& Engine::dag(std::optional<CsrGraph>& scratch) const {

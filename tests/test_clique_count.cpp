@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
+#include "core/backends.hpp"
+#include "core/estimators.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/orientation.hpp"
+#include "util/bitvector.hpp"
+#include "util/threading.hpp"
 
 namespace probgraph::algo {
 namespace {
@@ -26,6 +32,92 @@ std::uint64_t brute_force_4cc(const CsrGraph& g) {
       }
     }
   return count;
+}
+
+/// The Bloom-filter 4-clique sweep without per-sweep tables, kept as the
+/// reference: one BloomFilterView::contains per C3 test and one
+/// est::bf_intersection_and per C3 element, summed in the sweep's order.
+double four_clique_bf_oracle(const ProbGraph& pg) {
+  const CsrGraph& dag = pg.graph();
+  double total = 0.0;
+  for (VertexId u = 0; u < dag.num_vertices(); ++u) {
+    const BloomFilterView bf_u = pg.bf(u);
+    for (const VertexId v : dag.neighbors(u)) {
+      for (const VertexId w : dag.neighbors(v)) {
+        if (!bf_u.contains(w)) continue;
+        const std::uint64_t ones =
+            util::and3_popcount(pg.bf_words(u), pg.bf_words(v), pg.bf_words(w));
+        total += est::bf_intersection_and(ones, pg.bf_bits(), pg.config().bf_hashes);
+      }
+    }
+  }
+  return total;
+}
+
+ProbGraph bloom_over(const CsrGraph& dag, std::uint64_t bits, std::uint32_t hashes) {
+  ProbGraphConfig cfg;
+  cfg.bf_bits = bits;
+  cfg.bf_hashes = hashes;
+  cfg.seed = 17;
+  return ProbGraph(dag, cfg);
+}
+
+TEST(BloomProbeTable, AgreesWithViewContainsForEveryFilterAndElement) {
+  const CsrGraph dag = degree_orient(gen::kronecker(8, 12.0, 13));
+  const VertexId n = dag.num_vertices();
+  for (const std::uint64_t bits : {64u, 192u, 4096u}) {
+    for (const std::uint32_t b : {1u, 2u, 3u}) {
+      const ProbGraph pg = bloom_over(dag, bits, b);
+      ASSERT_EQ(pg.bf_bits(), bits);
+      const util::HashFamily family = pg.backend<BloomAndBackend>().family;
+      for (int threads = 1; threads <= 4; ++threads) {
+        const util::ThreadScope scope(threads);
+        const BloomProbeTable probes(n, bits, b, family);
+        std::uint64_t hits = 0;
+        std::uint64_t mismatches = 0;
+        for (VertexId v = 0; v < n; ++v) {
+          const BloomFilterView view = pg.bf(v);
+          for (VertexId x = 0; x < n; ++x) {
+            const bool member = view.contains(x);
+            hits += member ? 1 : 0;
+            mismatches += probes.contains(view.words(), x) != member ? 1 : 0;
+          }
+        }
+        EXPECT_EQ(mismatches, 0u) << "B=" << bits << " b=" << b << " threads=" << threads;
+        EXPECT_GT(hits, 0u) << "B=" << bits << " b=" << b;
+      }
+    }
+  }
+}
+
+TEST(BloomProbeTable, RejectsWidthsBeyondThirtyTwoBitPositions) {
+  const util::HashFamily family(7);
+  // n·b positions here exceed what a std::vector can hold, so allocating
+  // first would throw std::length_error: invalid_argument shows that the
+  // width is checked before anything is allocated.
+  EXPECT_THROW(BloomProbeTable(std::numeric_limits<VertexId>::max(), std::uint64_t{1} << 32,
+                               std::uint32_t{1} << 30, family),
+               std::invalid_argument);
+  EXPECT_THROW(BloomProbeTable(4, 0, 2, family), std::invalid_argument);
+  EXPECT_NO_THROW(BloomProbeTable(4, (std::uint64_t{1} << 32) - 1, 2, family));
+}
+
+TEST(FourCliqueProbGraph, BloomSweepEqualsPerTestOracle) {
+  const CsrGraph dag = degree_orient(gen::kronecker(10, 16.0, 21));
+  for (const std::uint32_t b : {1u, 2u, 3u}) {
+    const ProbGraph pg = bloom_over(dag, 192, b);
+    double oracle = 0.0;
+    double one_thread = 0.0;
+    {
+      const util::ThreadScope scope(1);
+      oracle = four_clique_bf_oracle(pg);
+      one_thread = four_clique_count_probgraph(pg);
+    }
+    ASSERT_GT(oracle, 0.0) << "b=" << b;
+    EXPECT_EQ(one_thread, oracle) << "b=" << b;
+    // Any other team size sums the same terms in another order.
+    EXPECT_NEAR(four_clique_count_probgraph(pg), oracle, oracle * 1e-12) << "b=" << b;
+  }
 }
 
 TEST(FourCliqueExact, ClosedFormOracles) {

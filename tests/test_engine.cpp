@@ -496,6 +496,39 @@ TEST(EngineMultiSubstrate, InMemoryEngineRejectsMismatchedKind) {
     EXPECT_EQ(what.find("--orient"), std::string::npos) << what;
     EXPECT_NE(what.find("build the Engine with KMV sketches"), std::string::npos) << what;
   }
+
+  // A DAG-only Engine built in code has no symmetric graph for cc; its
+  // remedy is again an Engine built differently, not a flag. The same
+  // substrate mapped from a file keeps the flag advice, word for word.
+  const SketchKind bf = SketchKind::kBloomFilter;
+  const engine::Engine dag_only(io::build_snapshot(golden_graph(), {&bf, 1},
+                                                   /*symmetric=*/false,
+                                                   /*degree_oriented=*/true));
+  try {
+    (void)dag_only.run(engine::ClusteringCoeff{});
+    FAIL() << "expected an error for a query that needs the symmetric graph";
+  } catch (const std::runtime_error& err) {
+    const std::string what = err.what();
+    EXPECT_NE(what.find("BF/dag"), std::string::npos) << what;
+    EXPECT_EQ(what.find("--orient"), std::string::npos) << what;
+    EXPECT_NE(what.find("build the Engine with the symmetric graph"), std::string::npos)
+        << what;
+  }
+  const CsrGraph dag = degree_orient(golden_graph());
+  const ProbGraph dag_bf(dag, ProbGraphConfig{});
+  const io::SnapshotSubstrate subs[] = {{&dag_bf, true}};
+  TempFile file("engine_dag_only_cc");
+  io::save_snapshot(file.path, subs);
+  const engine::Engine mapped = engine::Engine::from_snapshot(file.path);
+  try {
+    (void)mapped.run(engine::ClusteringCoeff{});
+    FAIL() << "expected an error for a query that needs the symmetric graph";
+  } catch (const std::runtime_error& err) {
+    EXPECT_STREQ(err.what(),
+                 "snapshot sketches only the degree-oriented DAG (it serves BF/dag); this "
+                 "query needs the symmetric graph (rebuild without --orient, or with "
+                 "--orient both)");
+  }
 }
 
 // --- Request validation. ---

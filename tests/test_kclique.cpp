@@ -3,11 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "algorithms/clique_count.hpp"
 #include "algorithms/triangle_count.hpp"
+#include "core/backends.hpp"
+#include "core/estimators.hpp"
 #include "graph/generators.hpp"
 #include "graph/orientation.hpp"
+#include "util/bitvector.hpp"
+#include "util/threading.hpp"
 
 namespace probgraph::algo {
 namespace {
@@ -17,6 +24,42 @@ std::uint64_t choose(std::uint64_t n, std::uint64_t k) {
   std::uint64_t result = 1;
   for (std::uint64_t i = 0; i < k; ++i) result = result * (n - i) / (i + 1);
   return result;
+}
+
+/// The Bloom-filter k-clique recursion without per-sweep tables, kept as the
+/// reference: membership through a BloomFilterView over the running AND and
+/// one est::bf_intersection_and per closing popcount, summed in the
+/// sweep's order.
+double kclique_bf_oracle_rec(const ProbGraph& pg, std::span<const VertexId> cand,
+                             std::span<const std::uint64_t> and_words, unsigned remaining) {
+  const std::uint32_t b = pg.config().bf_hashes;
+  if (remaining == 0) {
+    return est::bf_intersection_and(util::popcount(and_words), pg.bf_bits(), b);
+  }
+  double total = 0.0;
+  for (const VertexId u : cand) {
+    std::vector<std::uint64_t> words(and_words.begin(), and_words.end());
+    const auto wu = pg.bf_words(u);
+    for (std::size_t i = 0; i < words.size(); ++i) words[i] &= wu[i];
+    const BloomFilterView chain(words, pg.bf_bits(), b, pg.backend<BloomAndBackend>().family);
+    std::vector<VertexId> next;
+    for (const VertexId x : cand) {
+      if (x != u && chain.contains(x)) next.push_back(x);
+    }
+    if (next.empty() && remaining > 1) continue;
+    total += kclique_bf_oracle_rec(pg, next, words, remaining - 1);
+  }
+  return total;
+}
+
+double kclique_bf_oracle(const ProbGraph& pg, unsigned k) {
+  const CsrGraph& dag = pg.graph();
+  double total = 0.0;
+  for (VertexId v = 0; v < dag.num_vertices(); ++v) {
+    if (dag.neighbors(v).empty()) continue;
+    total += kclique_bf_oracle_rec(pg, dag.neighbors(v), pg.bf_words(v), k - 2);
+  }
+  return total;
 }
 
 TEST(KCliqueExact, RejectsSmallK) {
@@ -70,6 +113,31 @@ TEST(KCliqueProbGraph, MatchesTriangleEstimatorAtK3) {
   const double via_kclique = kclique_count_probgraph(pg, 3);
   const double via_tc = triangle_count_probgraph(pg, TcMode::kOriented);
   EXPECT_NEAR(via_kclique, via_tc, std::abs(via_tc) * 1e-9 + 1e-6);
+}
+
+TEST(KCliqueProbGraph, BloomSweepEqualsPerTestOracle) {
+  const CsrGraph dag = degree_orient(gen::kronecker(9, 16.0, 23));
+  for (const std::uint32_t b : {1u, 2u, 3u}) {
+    ProbGraphConfig cfg;
+    cfg.bf_bits = 192;
+    cfg.bf_hashes = b;
+    cfg.seed = 29;
+    const ProbGraph pg(dag, cfg);
+    for (unsigned k = 3; k <= 5; ++k) {
+      double oracle = 0.0;
+      double one_thread = 0.0;
+      {
+        const util::ThreadScope scope(1);
+        oracle = kclique_bf_oracle(pg, k);
+        one_thread = kclique_count_probgraph(pg, k);
+      }
+      ASSERT_GT(oracle, 0.0) << "b=" << b << " k=" << k;
+      EXPECT_EQ(one_thread, oracle) << "b=" << b << " k=" << k;
+      // Any other team size sums the same terms in another order.
+      EXPECT_NEAR(kclique_count_probgraph(pg, k), oracle, oracle * 1e-12)
+          << "b=" << b << " k=" << k;
+    }
+  }
 }
 
 class KCliqueSweep : public ::testing::TestWithParam<unsigned> {};
